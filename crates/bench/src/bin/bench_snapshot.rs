@@ -24,7 +24,8 @@
 //! same sweep on the `FabricConfig::congested` queueing model; their
 //! `--check` gates pin the saturation knee (32-host per-op inflation
 //! over 1 host) and that queueing delay, not protocol cost, carries it
-//! (`fabric_queue_ns_per_op` share).
+//! (`fabric_queue_ns_per_op` share), and that batching survives the
+//! knee (32-host sharded/unsharded `line_transfers_per_kop`).
 //!
 //! `--check` runs the groups and compares each path's median against
 //! the most recent snapshot labelled `--baseline`. Because one CI run
@@ -110,6 +111,18 @@ const CONGESTED_KNEE_MIN_INFLATION: f64 = 1.5;
 /// nanoseconds went, not just that they grew. Measured at
 /// introduction: ~0.6.
 const CONGESTED_MIN_QUEUE_SHARE: f64 = 0.10;
+
+/// Congested batching gate, applied by `--check` whenever the run
+/// includes the `host_scaling_congested` 32-host endpoints: the sharded
+/// configuration's line transfers (`line_transfers_per_kop`, fills plus
+/// writebacks) must stay at most this fraction of the unsharded
+/// baseline's. Batch-64 publication is what halves line traffic; a
+/// remote-free buffer that fills with one-free entries and evicts on
+/// nearly every free degrades batching to eager plus a durable record
+/// and clear per free, and the ratio climbs back to ~1.0. Measured at
+/// introduction: 0.53, against 1.00 with that collapse. Modeled
+/// counters from one run: machine-independent.
+const CONGESTED_MAX_LINE_TRANSFER_RATIO: f64 = 0.75;
 
 fn default_out() -> PathBuf {
     // crates/bench -> repo root.
@@ -407,6 +420,20 @@ fn main() {
                 );
                 scaling_failed |= share < CONGESTED_MIN_QUEUE_SHARE;
             }
+        }
+        if let (Some(unsharded), Some(sharded)) = (
+            cpoint("h32_unsharded", "line_transfers_per_kop"),
+            cpoint("h32_sharded", "line_transfers_per_kop"),
+        ) {
+            scaling_gated = true;
+            let ratio = sharded / unsharded;
+            let verdict =
+                if ratio <= CONGESTED_MAX_LINE_TRANSFER_RATIO { "ok" } else { "FAILED" };
+            println!(
+                "  congested gate: 32-host sharded/unsharded line transfers {ratio:.2} \
+                 (need <= {CONGESTED_MAX_LINE_TRANSFER_RATIO})  {verdict}"
+            );
+            scaling_failed |= ratio > CONGESTED_MAX_LINE_TRANSFER_RATIO;
         }
         assert!(
             log_n > 0 || scaling_gated,

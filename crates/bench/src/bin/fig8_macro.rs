@@ -68,6 +68,7 @@ fn main() {
                     ("allocator", result.allocator.into()),
                     ("threads", threads.into()),
                     ("ops", result.ops.into()),
+                    ("frees", result.frees.into()),
                     ("seconds", result.seconds.into()),
                     ("throughput", result.throughput().into()),
                     ("pss_bytes", result.pss_bytes.into()),

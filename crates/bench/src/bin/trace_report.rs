@@ -503,7 +503,8 @@ fn run_kvstore_section(ops: u64) -> Section {
     enter_phase(tracer, cores, "attach");
     let adapter = CxlallocAdapter::new(pod, 1, AttachOptions::default());
     let spec = WorkloadSpec::ycsb_a();
-    let store = KvStore::new(1024, 2);
+    // One EBR slot for the one worker, so reclamation runs in-phase.
+    let store = KvStore::new(1024, 1);
     let mut worker = store.worker(adapter.thread().expect("register kv worker"));
 
     // Preload, mirroring `run_macro` (same seed and key schedule) but

@@ -492,7 +492,9 @@ pub fn bench_kvstore(c: &mut Criterion) {
     let mut group = c.benchmark_group("kvstore");
     group.throughput(Throughput::Elements(1));
     let alloc = MiLike::new(512 << 20);
-    let store = KvStore::new(1 << 14, 2);
+    // Exactly one EBR slot per worker (here: one); a spare idle slot
+    // would park the epoch token there and stop reclamation.
+    let store = KvStore::new(1 << 14, 1);
     let mut w = store.worker(alloc.thread().unwrap());
     for key in 0..10_000 {
         w.insert(key, 8, 64).unwrap();
@@ -528,7 +530,7 @@ pub fn bench_kvstore(c: &mut Criterion) {
         ),
     ] {
         let alloc = CxlallocAdapter::new(cxlalloc_pod(1 << 30, 8, None), 1, options);
-        let store = KvStore::new(1 << 14, 2);
+        let store = KvStore::new(1 << 14, 1);
         let mut w = store.worker(alloc.thread().unwrap());
         for key in 0..10_000 {
             w.insert(key, 8, 64).unwrap();
@@ -695,19 +697,53 @@ fn sim_sum_ns(mem: &dyn cxl_pod::PodMemory) -> u64 {
     (0..clocks.len()).map(|c| clocks.now(c)).sum()
 }
 
+/// Untimed rounds over which every host-scaling point takes its modeled
+/// counters. The timed criterion loop runs a wall-clock-dependent
+/// number of rounds, so counters read across it would vary run to run
+/// on unchanged code; a fixed window makes every modeled field of a
+/// record a pure function of the code.
+const HOST_SCALING_MODELED_ROUNDS: u64 = 8;
+
+/// Modeled cost of a fixed window of host-scaling rounds.
+struct Modeled {
+    delta: cxl_pod::stats::MemStatsSnapshot,
+    /// Advance of the maximum per-core virtual clock.
+    sim_ns: u64,
+    /// Sum of per-core virtual-clock advances.
+    sim_sum: u64,
+    /// Block ops the window issued.
+    ops: u64,
+}
+
+/// Runs `round` [`HOST_SCALING_MODELED_ROUNDS`] times (untimed) and
+/// returns what the window cost on the simulated substrate.
+fn modeled_window(
+    mem: &dyn cxl_pod::PodMemory,
+    ops_per_round: u64,
+    mut round: impl FnMut(),
+) -> Modeled {
+    let before = mem.stats();
+    let sim_before = sim_now_ns(mem);
+    let sum_before = sim_sum_ns(mem);
+    for _ in 0..HOST_SCALING_MODELED_ROUNDS {
+        round();
+    }
+    Modeled {
+        delta: mem.stats().since(&before),
+        sim_ns: sim_now_ns(mem) - sim_before,
+        sim_sum: sim_sum_ns(mem) - sum_before,
+        ops: HOST_SCALING_MODELED_ROUNDS * ops_per_round,
+    }
+}
+
 /// Attaches the sweep's per-point counters (modeled ns/op, CAS retries
 /// with per-site attribution, line-contention traffic, combining
-/// activity) to the record just produced, normalized per block op /
-/// per 1k block ops.
-fn annotate_host_scaling(
-    group: &mut criterion::BenchmarkGroup<'_>,
-    delta: &cxl_pod::stats::MemStatsSnapshot,
-    sim_ns: u64,
-    sim_sum: u64,
-    ops: u64,
-) {
-    let per_kop = |n: u64| n as f64 * 1000.0 / ops.max(1) as f64;
-    group.annotate_last("sim_ns_per_op", sim_ns as f64 / ops.max(1) as f64);
+/// activity, remote-buffer evictions) to the record just produced,
+/// normalized per block op / per 1k block ops.
+fn annotate_host_scaling(group: &mut criterion::BenchmarkGroup<'_>, m: &Modeled) {
+    let (delta, ops) = (&m.delta, m.ops);
+    let per_kop = |n: u64| n as f64 * 1000.0 / ops as f64;
+    group.annotate_last("sim_ns_per_op", m.sim_ns as f64 / ops as f64);
     group.annotate_last("cas_retries_per_kop", per_kop(delta.cas_retries));
     group.annotate_last(
         "pop_global_retries_per_kop",
@@ -722,21 +758,22 @@ fn annotate_host_scaling(
         per_kop(delta.line_fills + delta.writebacks),
     );
     group.annotate_last("comb_wins_per_kop", per_kop(delta.comb_wins));
+    group.annotate_last(
+        "remote_evictions_per_kop",
+        per_kop(delta.remote_buf_evictions),
+    );
     // Fabric attribution, attached only when the pod actually crossed a
     // (non-disabled) fabric so uncongested records keep their pre-PR-10
     // field set byte-for-byte.
     if delta.fabric_requests > 0 {
-        group.annotate_last(
-            "sim_latency_ns_per_op",
-            sim_sum as f64 / ops.max(1) as f64,
-        );
+        group.annotate_last("sim_latency_ns_per_op", m.sim_sum as f64 / ops as f64);
         group.annotate_last(
             "fabric_queue_ns_per_op",
-            delta.fabric_queue_ns as f64 / ops.max(1) as f64,
+            delta.fabric_queue_ns as f64 / ops as f64,
         );
         group.annotate_last(
             "fabric_service_ns_per_op",
-            delta.fabric_service_ns as f64 / ops.max(1) as f64,
+            delta.fabric_service_ns as f64 / ops as f64,
         );
         group.annotate_last("fabric_saturated_per_kop", per_kop(delta.fabric_saturated));
     }
@@ -826,10 +863,8 @@ fn host_scaling_sweep(
             let mut routed: Vec<Vec<OffsetPtr>> = (0..hosts)
                 .map(|_| Vec::with_capacity(2 * HOST_SCALING_BLOCKS))
                 .collect();
-            let mut rounds = 0u64;
-            group.throughput(Throughput::Elements(
-                hosts as u64 * HOST_SCALING_BLOCKS as u64,
-            ));
+            let ops_per_round = hosts as u64 * HOST_SCALING_BLOCKS as u64;
+            group.throughput(Throughput::Elements(ops_per_round));
             // Congested runs use the interleaved kernel (see
             // `host_scaling_round_interleaved`) plus one untimed round:
             // from all-zero clocks even interleaved issue briefly skews,
@@ -843,23 +878,13 @@ fn host_scaling_sweep(
             if fabric.is_some() {
                 round(&mut team, &mut routed, HOST_SCALING_BLOCKS);
             }
-            let before = mem.stats();
-            let sim_before = sim_now_ns(mem.as_ref());
-            let sum_before = sim_sum_ns(mem.as_ref());
-            group.bench_function(format!("remote_free_h{hosts}_{variant}"), |b| {
-                b.iter(|| {
-                    round(&mut team, &mut routed, HOST_SCALING_BLOCKS);
-                    rounds += 1;
-                })
+            let modeled = modeled_window(mem.as_ref(), ops_per_round, || {
+                round(&mut team, &mut routed, HOST_SCALING_BLOCKS)
             });
-            let delta = mem.stats().since(&before);
-            annotate_host_scaling(
-                &mut group,
-                &delta,
-                sim_now_ns(mem.as_ref()) - sim_before,
-                sim_sum_ns(mem.as_ref()) - sum_before,
-                rounds * hosts as u64 * HOST_SCALING_BLOCKS as u64,
-            );
+            group.bench_function(format!("remote_free_h{hosts}_{variant}"), |b| {
+                b.iter(|| round(&mut team, &mut routed, HOST_SCALING_BLOCKS))
+            });
+            annotate_host_scaling(&mut group, &modeled);
         }
     }
 
@@ -875,7 +900,9 @@ fn host_scaling_sweep(
                 let pod = build_pod(stripes);
                 let mem = pod.memory().clone();
                 let alloc = CxlallocAdapter::new(pod, 1, options);
-                let store = KvStore::new(1 << 12, hosts as usize + 1);
+                // One EBR slot per worker: an idle slot would park the
+                // epoch token and stall reclamation between drains.
+                let store = KvStore::new(1 << 12, hosts as usize);
                 let mut workers: Vec<_> = (0..hosts)
                     .map(|_| store.worker(alloc.thread().unwrap()))
                     .collect();
@@ -883,37 +910,26 @@ fn host_scaling_sweep(
                     workers[0].insert(key, 8, 64).unwrap();
                 }
                 let mut cursor = 0u64;
-                let mut rounds = 0u64;
-                group.throughput(Throughput::Elements(
-                    hosts as u64 * HOST_SCALING_KV_OPS as u64,
-                ));
-                let before = mem.stats();
-                let sim_before = sim_now_ns(mem.as_ref());
-                let sum_before = sim_sum_ns(mem.as_ref());
-                group.bench_function(format!("kvstore_h{hosts}_{variant}"), |b| {
-                    b.iter(|| {
-                        for (i, w) in workers.iter_mut().enumerate() {
-                            for _ in 0..HOST_SCALING_KV_OPS {
-                                cursor = cursor.wrapping_add(1);
-                                let key = cursor
-                                    .wrapping_mul(2654435761)
-                                    .wrapping_add(i as u64 * 97)
-                                    % KV_KEYS;
-                                w.insert(key, 8, 64).unwrap();
-                            }
-                            w.drain_retired();
+                let mut round = || {
+                    for (i, w) in workers.iter_mut().enumerate() {
+                        for _ in 0..HOST_SCALING_KV_OPS {
+                            cursor = cursor.wrapping_add(1);
+                            let key = cursor
+                                .wrapping_mul(2654435761)
+                                .wrapping_add(i as u64 * 97)
+                                % KV_KEYS;
+                            w.insert(key, 8, 64).unwrap();
                         }
-                        rounds += 1;
-                    })
+                        w.drain_retired();
+                    }
+                };
+                let ops_per_round = hosts as u64 * HOST_SCALING_KV_OPS as u64;
+                group.throughput(Throughput::Elements(ops_per_round));
+                let modeled = modeled_window(mem.as_ref(), ops_per_round, &mut round);
+                group.bench_function(format!("kvstore_h{hosts}_{variant}"), |b| {
+                    b.iter(&mut round)
                 });
-                let delta = mem.stats().since(&before);
-                annotate_host_scaling(
-                    &mut group,
-                    &delta,
-                    sim_now_ns(mem.as_ref()) - sim_before,
-                    sim_sum_ns(mem.as_ref()) - sum_before,
-                    rounds * hosts as u64 * HOST_SCALING_KV_OPS as u64,
-                );
+                annotate_host_scaling(&mut group, &modeled);
             }
         }
     }
@@ -939,4 +955,31 @@ pub fn substrate(c: &mut Criterion) {
     bench_liveness(c);
     bench_kvstore(c);
     bench_workloads(c);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every record's path and counters from a small host-scaling sweep.
+    fn sweep_counters(fabric: Option<FabricConfig>) -> Vec<(String, Vec<(String, f64)>)> {
+        let mut c = Criterion::default().sample_size(2);
+        host_scaling_sweep(&mut c, &[1, 4], true, fabric);
+        c.take_records()
+            .into_iter()
+            .map(|r| (r.path(), r.counters))
+            .collect()
+    }
+
+    /// The modeled counters come from a fixed untimed window, so two
+    /// runs agree exactly however many rounds the timed loops ran.
+    #[test]
+    fn host_scaling_modeled_counters_repeat_exactly() {
+        for fabric in [None, Some(FabricConfig::congested())] {
+            let first = sweep_counters(fabric);
+            assert_eq!(first.len(), 8, "2 host counts x 2 kernels x 2 variants");
+            assert!(first.iter().all(|(_, counters)| !counters.is_empty()));
+            assert_eq!(first, sweep_counters(fabric));
+        }
+    }
 }

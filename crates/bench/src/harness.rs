@@ -3,7 +3,7 @@
 
 use baselines::{BenchError, PodAlloc};
 use cxl_core::OffsetPtr;
-use kvstore::KvStore;
+use kvstore::{KvStore, KvThread};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::mpsc;
@@ -22,6 +22,9 @@ pub struct MacroResult {
     pub threads: u32,
     /// Operations completed.
     pub ops: u64,
+    /// Entries the store reclaimed (freed through the allocator) during
+    /// the measured phase, before the end-of-run drain.
+    pub frees: u64,
     /// Wall-clock seconds of the measured phase.
     pub seconds: f64,
     /// Memory usage at the end of the run (PSS proxy).
@@ -47,6 +50,10 @@ impl MacroResult {
 /// Runs `spec` over `alloc` with `threads` workers performing
 /// `total_ops` operations in total (split evenly), over a table with
 /// `buckets` buckets.
+///
+/// The store has exactly one EBR slot per worker, and the preload runs
+/// through worker 0 itself: a slot no measured worker drives would park
+/// the epoch token and stop reclamation for the whole run.
 pub fn run_macro(
     alloc: &Arc<dyn PodAlloc>,
     spec: &WorkloadSpec,
@@ -54,13 +61,16 @@ pub fn run_macro(
     total_ops: u64,
     buckets: usize,
 ) -> MacroResult {
-    let store = KvStore::new(buckets, threads as usize + 1);
+    let store = KvStore::new(buckets, threads as usize);
     let crashed = std::sync::atomic::AtomicBool::new(false);
     let done_ops = std::sync::atomic::AtomicU64::new(0);
+    let frees = std::sync::atomic::AtomicU64::new(0);
+    let mut workers: Vec<Option<KvThread>> = (0..threads)
+        .map(|_| alloc.thread().ok().map(|handle| store.worker(handle)))
+        .collect();
 
     // Preload phase (not measured).
-    if spec.preload > 0 {
-        let mut w = store.worker(alloc.thread().expect("preload thread"));
+    if let (true, Some(w)) = (spec.preload > 0, workers[0].as_mut()) {
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
         let keygen = spec.key_generator();
         let preload = spec.preload.min(total_ops.max(10_000));
@@ -83,19 +93,18 @@ pub fn run_macro(
     let ops_per_thread = (total_ops / threads as u64).max(1);
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for t in 0..threads {
-            let store = store.clone();
-            let alloc = alloc.clone();
+        for (t, worker) in workers.iter_mut().enumerate() {
             let crashed = &crashed;
             let done_ops = &done_ops;
+            let frees = &frees;
             let spec = spec.clone();
             scope.spawn(move || {
-                let Ok(handle) = alloc.thread() else {
+                let Some(w) = worker else {
                     crashed.store(true, std::sync::atomic::Ordering::Relaxed);
                     return;
                 };
-                let mut w = store.worker(handle);
                 let mut stream = OpStream::new(spec, StdRng::seed_from_u64(7 + t as u64));
+                let frees_before = w.frees();
                 let mut completed = 0;
                 for _ in 0..ops_per_thread {
                     let outcome = match stream.next_op() {
@@ -129,6 +138,7 @@ pub fn run_macro(
                     }
                 }
                 done_ops.fetch_add(completed, std::sync::atomic::Ordering::Relaxed);
+                frees.fetch_add(w.frees() - frees_before, std::sync::atomic::Ordering::Relaxed);
                 w.drain_retired();
             });
         }
@@ -140,6 +150,7 @@ pub fn run_macro(
         allocator: alloc.props().name,
         threads,
         ops: done_ops.load(std::sync::atomic::Ordering::Relaxed),
+        frees: frees.load(std::sync::atomic::Ordering::Relaxed),
         seconds,
         pss_bytes: usage.total(),
         metadata_bytes: usage.metadata_bytes,
@@ -302,6 +313,36 @@ mod tests {
         assert!(result.ops >= 4_000, "ops {}", result.ops);
         assert!(result.throughput() > 0.0);
         assert!(result.pss_bytes > 0);
+    }
+
+    /// `fig8_macro`'s default-scale 1-thread YCSB-A point on cxlalloc:
+    /// with one EBR slot per measured worker the epoch advances during
+    /// the run, so replaced and deleted entries are reclaimed before the
+    /// final drain (a spare idle slot parks the token and reclaim
+    /// stops). One worker keeps the count independent of how the OS
+    /// schedules threads: token passing stalls while any slot's owner
+    /// is not running.
+    #[test]
+    fn fig8_sized_cxlalloc_run_reclaims_during_the_run() {
+        let options = crate::Options::default();
+        let ops = options.ops(8_400_000);
+        let spec = WorkloadSpec {
+            preload: options.ops(8_400_000),
+            ..WorkloadSpec::ycsb_a()
+        };
+        let threads = 1;
+        let alloc = AllocatorKind::Cxlalloc.build(2 << 30, options.processes, threads + 2);
+        let buckets = (ops as usize * 2).clamp(1 << 12, 1 << 22);
+        let result = run_macro(&alloc, &spec, threads, ops, buckets);
+        assert!(!result.crashed);
+        // About one op in eight retires an entry that is reclaimed in
+        // the run; a parked token reclaims next to nothing.
+        assert!(
+            result.frees * 20 >= result.ops,
+            "only {} entries reclaimed during {} ops",
+            result.frees,
+            result.ops
+        );
     }
 
     #[test]

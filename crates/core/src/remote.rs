@@ -25,6 +25,9 @@
 //!   Recovery scans a dead thread's line and republishes every
 //!   surviving batch, so buffered-but-unpublished frees are no longer
 //!   lost (the pre-PR-5 `SLOTS × (batch-1)` bounded leak is gone).
+//!   A full table of one-free entries declines new slabs
+//!   ([`RemoteFreeBuffer::admits`]): those frees publish eagerly, since
+//!   evicting one singleton for another saves no CAS.
 //! * [`Magazines`] — a bounded per-class LIFO of `(slab, bit)` *hints*
 //!   for recently locally-freed blocks (mimalloc-style), skipping the
 //!   bitset scan of the alloc fast path. Hints are advisory: the
@@ -37,9 +40,13 @@
 use crate::error::HeapKind;
 use std::cell::{Cell, RefCell};
 
-/// Slots in the pending-free table. Remote-free traffic concentrates on
-/// few producer slabs at a time; eviction publishes early, so this only
-/// bounds worst-case buffering, not correctness.
+/// Slots in the pending-free table, one durable word each. Batching
+/// pays only while a thread's frees revisit a few victim slabs; when
+/// they scatter over more slabs than this, the table fills with
+/// singletons and [`RemoteFreeBuffer::admits`] sends further new slabs
+/// down the eager path. A bigger table does not help that case — each
+/// extra singleton still costs its CAS plus a durable record and clear
+/// — so this bounds buffering, not correctness.
 const SLOTS: usize = 8;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +103,20 @@ impl RemoteFreeBuffer {
             .iter()
             .find(|e| e.get().key == key)
             .map_or(0, |e| e.get().pending)
+    }
+
+    /// Whether buffering one more free against `(kind, slab)` can save a
+    /// publish CAS. It can unless the slab has no entry, no slot is
+    /// empty, and every entry holds exactly one pending free: then
+    /// admitting it would evict a singleton, whose publish costs the
+    /// same CAS the eager path pays, plus the durable record and clear
+    /// both frees would add. Declined frees take the eager §3.2.1 path.
+    pub fn admits(&self, kind: HeapKind, slab: u32) -> bool {
+        let key = key_of(kind, slab);
+        self.entries.iter().any(|slot| {
+            let e = slot.get();
+            e.key == key || e.key == 0 || e.pending > 1
+        })
     }
 
     /// Records one more pending free against `(kind, slab)`. Returns the
@@ -357,6 +378,47 @@ mod tests {
         assert_eq!(evicted, Some((HeapKind::Small, 5, 3)));
         assert_eq!(buf.pending(HeapKind::Small, 100), 1);
         assert_eq!(buf.pending(HeapKind::Small, 5), 0);
+    }
+
+    /// Fills every slot with a one-free entry for slabs `0..SLOTS`.
+    fn full_of_singletons() -> RemoteFreeBuffer {
+        let buf = RemoteFreeBuffer::new();
+        for slab in 0..SLOTS as u32 {
+            assert!(buf.admits(HeapKind::Small, slab), "empty slot admits");
+            buf.note(HeapKind::Small, slab);
+        }
+        buf
+    }
+
+    #[test]
+    fn admission_existing_key_and_empty_slot() {
+        let buf = RemoteFreeBuffer::new();
+        assert!(buf.admits(HeapKind::Small, 9), "empty table admits");
+        let buf = full_of_singletons();
+        for slab in 0..SLOTS as u32 {
+            assert!(buf.admits(HeapKind::Small, slab), "existing key admits");
+        }
+        buf.take(HeapKind::Small, 3);
+        assert!(buf.admits(HeapKind::Small, 100), "freed slot admits");
+    }
+
+    #[test]
+    fn admission_declines_only_a_table_of_singletons() {
+        let buf = full_of_singletons();
+        assert!(!buf.admits(HeapKind::Small, 100), "all singletons decline");
+        assert!(
+            !buf.admits(HeapKind::Large, 0),
+            "a new kind is a new key, declined too"
+        );
+        // Any entry with two or more pending frees makes eviction pay:
+        // the table admits and evicts that entry.
+        buf.note(HeapKind::Small, 6);
+        assert!(buf.admits(HeapKind::Small, 100));
+        assert_eq!(
+            buf.note(HeapKind::Small, 100),
+            (1, Some((HeapKind::Small, 6, 2)))
+        );
+        assert!(!buf.admits(HeapKind::Small, 101), "singletons again");
     }
 
     #[test]

@@ -887,7 +887,11 @@ impl SlabHeap {
             .comb
             .is_some_and(|c| c.blocks_buffering(self.kind, slab));
         if ctx.remote_free_batch > 1 && !buffering_blocked {
-            if let Some(buf) = ctx.remote {
+            // A buffer full of singletons declines a new slab: evicting
+            // one singleton to admit another saves no CAS, so the free
+            // goes eager. Declined slabs have no DRAM entry and hence no
+            // durable `remote_buf` word, so the §9.1 invariant holds.
+            if let Some(buf) = ctx.remote.filter(|b| b.admits(self.kind, slab)) {
                 return self.free_remote_buffered(ctx, buf, slab, offset);
             }
         }
@@ -978,6 +982,7 @@ impl SlabHeap {
         }
         let (count, evicted) = buf.note(self.kind, slab);
         if let Some((vkind, vslab, vpending)) = evicted {
+            ctx.mem.note_remote_buf_eviction();
             SlabHeap::of(vkind).publish_remote_frees(ctx, vslab, vpending);
         }
         if count >= ctx.remote_free_batch {

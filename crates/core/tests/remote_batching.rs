@@ -13,6 +13,10 @@
 //! * Differential (seeded): a producer/consumer run with batch 8 ends
 //!   with exactly the HWcc counters of the eager (batch 1) run once the
 //!   consumer's buffer drains at its quiesce point.
+//! * Singleton-aware admission: frees scattered over more slabs than
+//!   the buffer has slots mix bypassed (eager) and buffered frees; a
+//!   crash at every `slab::remote_free::*` point recovers to census =
+//!   ledger with zero lost and zero phantom blocks.
 
 use cxl_core::bitset::BlockBits;
 use cxl_core::cell::{flags, Detect, SwccHeader};
@@ -457,5 +461,144 @@ fn batched_remote_free_differential_matches_eager() {
             batched_count, 450,
             "seed {seed}: every delivered free must be accounted"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Singleton-aware admission: frees scattered over more slabs than the
+// buffer has slots interleave bypassed (eager) and buffered frees.
+// ---------------------------------------------------------------------------
+
+/// Victim slabs of the scatter test: more than the buffer's 8 slots.
+const SCATTER_SLABS: usize = 12;
+
+/// Every block of [`SCATTER_SLABS`] full 64 B slabs, in a seeded
+/// shuffle, so consecutive frees rarely revisit a slab.
+fn scattered_blocks(producer: &mut cxl_core::ThreadHandle) -> Vec<OffsetPtr> {
+    let mut ptrs: Vec<OffsetPtr> = (0..SCATTER_SLABS * 512)
+        .map(|_| producer.alloc(64).unwrap())
+        .collect();
+    let mut rng = StdRng::seed_from_u64(12);
+    for i in (1..ptrs.len()).rev() {
+        ptrs.swap(i, rng.gen_range(0..=i));
+    }
+    ptrs
+}
+
+/// Census = ledger, per slab: every slab's census-"allocated" blocks
+/// minus its published-but-unapplied remote frees equal the ledger's
+/// blocks in that slab (zero lost), and every ledger block is
+/// allocated in the census (zero phantom). No batch may remain in any
+/// durable remote-free line.
+fn assert_census_matches(pod: &Pod, heap: &Cxlalloc, via: CoreId, ledger: &[OffsetPtr], what: &str) {
+    let census = heap.census(via).unwrap();
+    let small = &pod.layout().small;
+    let mut want = std::collections::BTreeMap::<u32, u32>::new();
+    for p in ledger {
+        *want.entry(small.slab_of(p.offset()).unwrap()).or_default() += 1;
+        assert!(
+            census.small.binary_search(&p.offset()).is_ok(),
+            "{what}: phantom ledger block {:#x}",
+            p.offset()
+        );
+    }
+    for s in &census.slabs {
+        let live = s.open - s.remote_pending;
+        assert_eq!(
+            live,
+            want.get(&s.slab).copied().unwrap_or(0),
+            "{what}: slab {} census {live} live vs ledger",
+            s.slab
+        );
+    }
+    let live = census.total() as u64 - census.remote_pending_total();
+    assert_eq!(live, ledger.len() as u64, "{what}: lost blocks");
+    assert!(
+        cxl_core::audit::remote_buffered(pod.memory().as_ref(), via).is_empty(),
+        "{what}: a durable remote-free batch survived recovery"
+    );
+}
+
+/// Frees scattered over more slabs than the buffer holds, with batch
+/// 64: the admission rule must send some frees eager (the bypass) while
+/// others buffer, evict and publish — and a crash at every
+/// `slab::remote_free::*` point, recovered, must leave census = ledger
+/// plus clean invariants, then drain to zero live blocks.
+#[test]
+fn scattered_frees_bypass_and_recover_exactly() {
+    // Crash-free reference: the bypass fires, and so do evictions.
+    {
+        let pod = pod();
+        let heap = Cxlalloc::attach(pod.spawn_process(), batched_options(64)).unwrap();
+        let mut producer = heap.register_thread().unwrap();
+        let ptrs = scattered_blocks(&mut producer);
+        let mut freer = heap.register_thread().unwrap();
+        for p in &ptrs {
+            freer.dealloc(*p).unwrap();
+        }
+        freer.flush_local_caches();
+        let mem = heap.stats().mem;
+        let bypassed = ptrs.len() as u64 - mem.remote_free_batched;
+        assert!(bypassed >= 12, "the singleton bypass must fire (bypassed {bypassed})");
+        assert!(mem.remote_buf_evictions > 0, "buffered frees must still evict");
+        freer.flush_cache();
+        producer.flush_cache();
+        assert_census_matches(&pod, &heap, producer.core(), &[], "reference");
+    }
+
+    let points = [
+        "slab::remote_free::after_log",
+        "slab::remote_free::after_cas",
+        "slab::remote_free::before_steal_push",
+    ]
+    .iter()
+    .chain(cxl_core::slab::BATCH_CRASH_POINTS);
+    for &point in points {
+        for skip in [0u32, 5, 11] {
+            let what = format!("{point} skip {skip}");
+            let pod = pod();
+            let heap = Cxlalloc::attach(pod.spawn_process(), batched_options(64)).unwrap();
+            let mut producer = heap.register_thread().unwrap();
+            let ptrs = scattered_blocks(&mut producer);
+            let done = std::sync::atomic::AtomicUsize::new(0);
+            let (tid, crashed) = crash_thread(&heap, CrashPlan { at: point, skip }, |t| {
+                for p in &ptrs {
+                    t.dealloc(*p).unwrap();
+                    done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+                // Publish the residue too, so every slab reaches zero
+                // and is stolen.
+                t.flush_local_caches();
+            });
+            assert!(crashed, "never reached {what}");
+            heap.mark_crashed(tid).unwrap();
+            heap.recover(tid, producer.core()).unwrap();
+            producer.flush_cache();
+            heap.check_invariants(producer.core())
+                .unwrap_or_else(|e| panic!("invariants after {what}: {e}"));
+
+            // Frees that returned are in effect; the one in flight at
+            // the crash may or may not be, so the census decides it —
+            // consistently with the per-slab check.
+            let done = done.into_inner();
+            let census = heap.census(producer.core()).unwrap();
+            let live = census.total() as u64 - census.remote_pending_total();
+            let mut ledger = ptrs[done..].to_vec();
+            if live + 1 == ledger.len() as u64 {
+                ledger.remove(0);
+            }
+            assert_census_matches(&pod, &heap, producer.core(), &ledger, &what);
+
+            // The adopted slot frees the rest; nothing may be lost.
+            let (mut adopted, _) = heap.adopt(tid, producer.core()).unwrap();
+            for p in &ledger {
+                adopted.dealloc(*p).unwrap();
+            }
+            adopted.flush_local_caches();
+            adopted.flush_cache();
+            producer.flush_cache();
+            heap.check_invariants(producer.core()).unwrap();
+            assert_census_matches(&pod, &heap, producer.core(), &[], &format!("{what}, drained"));
+        }
     }
 }

@@ -99,6 +99,7 @@ impl KvStore {
             slot,
             retired: VecDeque::new(),
             ops: 0,
+            frees: 0,
         }
     }
 
@@ -126,6 +127,8 @@ pub struct KvThread {
     /// Entries awaiting epoch-safe reclamation: (retire_epoch, ptr).
     retired: VecDeque<(u64, OffsetPtr)>,
     ops: u64,
+    /// Retired entries handed back to the allocator so far.
+    frees: u64,
 }
 
 impl std::fmt::Debug for KvThread {
@@ -368,6 +371,7 @@ impl KvThread {
             }
             self.retired.pop_front();
             let _ = self.alloc.dealloc(ptr);
+            self.frees += 1;
         }
     }
 
@@ -382,8 +386,15 @@ impl KvThread {
         }
         while let Some((_, ptr)) = self.retired.pop_front() {
             let _ = self.alloc.dealloc(ptr);
+            self.frees += 1;
         }
         self.alloc.maintain();
+    }
+
+    /// Retired entries this worker has handed back to the allocator
+    /// (epoch-safe reclamation plus [`drain_retired`](Self::drain_retired)).
+    pub fn frees(&self) -> u64 {
+        self.frees
     }
 }
 

@@ -122,6 +122,9 @@ pub trait PodMemory: Send + Sync + std::fmt::Debug {
     /// Records `k` remote frees delivered through one batched decrement
     /// (statistics only).
     fn note_remote_free_batched(&self, _k: u64) {}
+    /// Records a batched publish forced by a full remote-free buffer
+    /// (statistics only).
+    fn note_remote_buf_eviction(&self) {}
     /// Records an allocator-level structural event (slab alloc/free,
     /// remote-free publish, lease renewal, CAS retry) in the backend's
     /// event trace. Zero-cost by default and on [`RawMemory`];
@@ -268,6 +271,13 @@ impl PodMemory for RawMemory {
         // Rare (once per published batch), so counting is affordable
         // even on the wall-clock backend.
         self.stats.remote_free_batched(k);
+    }
+
+    #[inline]
+    fn note_remote_buf_eviction(&self) {
+        // At most once per buffered remote free, and only with
+        // `remote_free_batch > 1`.
+        self.stats.remote_buf_eviction();
     }
 
     #[inline]
@@ -1027,6 +1037,10 @@ impl PodMemory for SimMemory {
 
     fn note_remote_free_batched(&self, k: u64) {
         self.stats.remote_free_batched(k);
+    }
+
+    fn note_remote_buf_eviction(&self) {
+        self.stats.remote_buf_eviction();
     }
 
     fn stats(&self) -> MemStatsSnapshot {

@@ -39,6 +39,7 @@ struct Shard {
     fences_elided: AtomicU64,
     flushes_coalesced: AtomicU64,
     remote_free_batched: AtomicU64,
+    remote_buf_evictions: AtomicU64,
     cas_retries_pop_global: AtomicU64,
     cas_retries_remote_publish: AtomicU64,
     cas_retries_lease: AtomicU64,
@@ -270,6 +271,12 @@ impl MemStats {
             .remote_free_batched
             .fetch_add(k, Ordering::Relaxed);
     }
+    /// Records a batched publish forced by a full remote-free buffer
+    /// evicting an entry to admit a new slab.
+    #[inline]
+    pub fn remote_buf_eviction(&self) {
+        bump!(self.remote_buf_evictions);
+    }
     /// Records one fabric crossing: its queue-wait and service
     /// nanoseconds, and whether it observed utilization past the knee
     /// (see [`crate::fabric`]). Never called on a disabled fabric, so
@@ -311,6 +318,7 @@ impl MemStats {
             fences_elided: sum!(self.fences_elided),
             flushes_coalesced: sum!(self.flushes_coalesced),
             remote_free_batched: sum!(self.remote_free_batched),
+            remote_buf_evictions: sum!(self.remote_buf_evictions),
             cas_retries_pop_global: sum!(self.cas_retries_pop_global),
             cas_retries_remote_publish: sum!(self.cas_retries_remote_publish),
             cas_retries_lease: sum!(self.cas_retries_lease),
@@ -368,6 +376,9 @@ pub struct MemStatsSnapshot {
     pub flushes_coalesced: u64,
     /// Remote frees delivered through batched decrements.
     pub remote_free_batched: u64,
+    /// Batched publishes forced by a full remote-free buffer evicting
+    /// an entry to admit a new slab.
+    pub remote_buf_evictions: u64,
     /// CAS retries attributed to global free-list pops.
     pub cas_retries_pop_global: u64,
     /// CAS retries attributed to remote-free counter publishes.
@@ -427,6 +438,9 @@ impl MemStatsSnapshot {
             remote_free_batched: self
                 .remote_free_batched
                 .saturating_sub(earlier.remote_free_batched),
+            remote_buf_evictions: self
+                .remote_buf_evictions
+                .saturating_sub(earlier.remote_buf_evictions),
             cas_retries_pop_global: self
                 .cas_retries_pop_global
                 .saturating_sub(earlier.cas_retries_pop_global),

@@ -28,7 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..PodConfig::default()
     })?;
     let alloc = CxlallocAdapter::new(pod, 2, AttachOptions::default());
-    let store = KvStore::new(1 << 18, THREADS as usize + 1);
+    // Exactly one EBR slot per worker: an idle slot would park the
+    // epoch token and stop reclamation.
+    let store = KvStore::new(1 << 18, THREADS as usize);
 
     let spec = WorkloadSpec::ycsb_a();
     println!(
