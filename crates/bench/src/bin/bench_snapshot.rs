@@ -25,7 +25,7 @@
 //! `--check` gates pin the saturation knee (32-host per-op inflation
 //! over 1 host) and that queueing delay, not protocol cost, carries it
 //! (`fabric_queue_ns_per_op` share), and that batching survives the
-//! knee (32-host sharded/unsharded `line_transfers_per_kop`).
+//! knee (32-host sharded `line_transfers_per_kop`).
 //!
 //! `--check` runs the groups and compares each path's median against
 //! the most recent snapshot labelled `--baseline`. Because one CI run
@@ -113,16 +113,19 @@ const CONGESTED_KNEE_MIN_INFLATION: f64 = 1.5;
 const CONGESTED_MIN_QUEUE_SHARE: f64 = 0.10;
 
 /// Congested batching gate, applied by `--check` whenever the run
-/// includes the `host_scaling_congested` 32-host endpoints: the sharded
-/// configuration's line transfers (`line_transfers_per_kop`, fills plus
-/// writebacks) must stay at most this fraction of the unsharded
-/// baseline's. Batch-64 publication is what halves line traffic; a
-/// remote-free buffer that fills with one-free entries and evicts on
-/// nearly every free degrades batching to eager plus a durable record
-/// and clear per free, and the ratio climbs back to ~1.0. Measured at
-/// introduction: 0.53, against 1.00 with that collapse. Modeled
-/// counters from one run: machine-independent.
-const CONGESTED_MAX_LINE_TRANSFER_RATIO: f64 = 0.75;
+/// includes the `host_scaling_congested` 32-host sharded endpoint: its
+/// line transfers (`line_transfers_per_kop`, fills plus writebacks)
+/// must stay at or below this many per thousand ops. A remote-free
+/// buffer that fills with one-free entries and evicts on nearly every
+/// free degrades batching to eager plus a durable record and clear per
+/// free, which roughly doubles line traffic. An absolute bound, not a
+/// ratio to the unsharded baseline: both configurations share the one
+/// log protocol, so the baseline no longer differs by a clear's
+/// writeback per op and the ratio reads ~1.05 with or without the
+/// collapse. Measured at introduction: 2118, against 3998 with
+/// singleton admission disabled (4034 in the re-check). Modeled counters:
+/// machine-independent.
+const CONGESTED_MAX_LINE_TRANSFERS_PER_KOP: f64 = 2600.0;
 
 fn default_out() -> PathBuf {
     // crates/bench -> repo root.
@@ -421,19 +424,18 @@ fn main() {
                 scaling_failed |= share < CONGESTED_MIN_QUEUE_SHARE;
             }
         }
-        if let (Some(unsharded), Some(sharded)) = (
-            cpoint("h32_unsharded", "line_transfers_per_kop"),
-            cpoint("h32_sharded", "line_transfers_per_kop"),
-        ) {
+        if let Some(transfers) = cpoint("h32_sharded", "line_transfers_per_kop") {
             scaling_gated = true;
-            let ratio = sharded / unsharded;
-            let verdict =
-                if ratio <= CONGESTED_MAX_LINE_TRANSFER_RATIO { "ok" } else { "FAILED" };
+            let verdict = if transfers <= CONGESTED_MAX_LINE_TRANSFERS_PER_KOP {
+                "ok"
+            } else {
+                "FAILED"
+            };
             println!(
-                "  congested gate: 32-host sharded/unsharded line transfers {ratio:.2} \
-                 (need <= {CONGESTED_MAX_LINE_TRANSFER_RATIO})  {verdict}"
+                "  congested gate: 32-host sharded line transfers {transfers:.0}/kop \
+                 (need <= {CONGESTED_MAX_LINE_TRANSFERS_PER_KOP})  {verdict}"
             );
-            scaling_failed |= ratio > CONGESTED_MAX_LINE_TRANSFER_RATIO;
+            scaling_failed |= transfers > CONGESTED_MAX_LINE_TRANSFERS_PER_KOP;
         }
         assert!(
             log_n > 0 || scaling_gated,

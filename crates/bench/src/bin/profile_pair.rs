@@ -53,14 +53,6 @@ fn main() {
         480,
     );
     pair(
-        "pair/held-480 coalesce_fences",
-        AttachOptions {
-            coalesce_fences: true,
-            ..AttachOptions::default()
-        },
-        480,
-    );
-    pair(
         "pair/held-480 magazines-64",
         AttachOptions {
             magazine_capacity: 64,

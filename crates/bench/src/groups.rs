@@ -113,8 +113,8 @@ pub fn bench_local_paths(c: &mut Criterion) {
 
 /// Remote-free (m)CAS path: producer/consumer across threads. The
 /// handoff gates the producer on the consumer's dealloc speed, so the
-/// measured throughput is the remote-free path; the PR-4 amortizations
-/// (batched publishes, magazines, coalesced fences) are enabled here —
+/// measured throughput is the remote-free path; batched publishes and
+/// magazines are enabled here —
 /// the eager ablation lives in `remote_free_batched/eager_64B`.
 ///
 /// The handoff is a slot-sentinel SPSC ring rather than
@@ -152,7 +152,6 @@ pub fn bench_remote_free(c: &mut Criterion) {
         let options = AttachOptions {
             remote_free_batch: 16,
             magazine_capacity: 16,
-            coalesce_fences: true,
             ..AttachOptions::default()
         };
         let alloc = CxlallocAdapter::new(cxlalloc_pod(1 << 30, 8, None), 1, options);
@@ -218,7 +217,6 @@ pub fn bench_remote_free_batched(c: &mut Criterion) {
             1,
             AttachOptions {
                 remote_free_batch: batch,
-                coalesce_fences: batch > 1,
                 ..AttachOptions::default()
             },
         );
@@ -255,7 +253,6 @@ pub fn bench_magazines(c: &mut Criterion) {
             1,
             AttachOptions {
                 magazine_capacity: capacity,
-                coalesce_fences: capacity > 0,
                 ..AttachOptions::default()
             },
         );
@@ -514,9 +511,9 @@ pub fn bench_kvstore(c: &mut Criterion) {
     });
     // The same workload over cxlalloc itself (the MiLike labels above
     // are the baseline and cannot reflect allocator changes): eager,
-    // and with the PR-4 amortizations on. Replaced entries are freed on
-    // the inserting thread after an EBR epoch, so magazines and fence
-    // coalescing are the active levers here.
+    // and with batching and magazines on. Replaced entries are freed on
+    // the inserting thread after an EBR epoch, so magazines are the
+    // active lever here.
     for (name, options) in [
         ("insert_replace_cxl", AttachOptions::default()),
         (
@@ -524,7 +521,6 @@ pub fn bench_kvstore(c: &mut Criterion) {
             AttachOptions {
                 remote_free_batch: 16,
                 magazine_capacity: 16,
-                coalesce_fences: true,
                 ..AttachOptions::default()
             },
         ),
@@ -599,7 +595,6 @@ fn host_scaling_variants() -> [(&'static str, u32, AttachOptions); 2] {
                 unsized_limit: 0,
                 remote_free_batch: 64,
                 magazine_capacity: 32,
-                coalesce_fences: true,
                 combining: true,
                 ..AttachOptions::default()
             },

@@ -121,7 +121,6 @@ fn main() {
         config: SimConfig {
             remote_free_batch: 8,
             magazine_capacity: 4,
-            coalesce_fences: true,
             ..SimConfig::default()
         },
         ..Explorer::default()
@@ -197,8 +196,8 @@ fn main() {
     }
     let _ = write!(
         out,
-        "];\n\n/// Liveness profile with batched remote frees, magazines, and fence\n\
-         /// coalescing (PR 4): (seed, fingerprint).\n\
+        "];\n\n/// Liveness profile with batched remote frees and magazines:\n\
+         /// (seed, fingerprint).\n\
          #[allow(dead_code)]\n\
          pub const BATCHED: &[(u64, u64)] = &[\n"
     );

@@ -25,6 +25,7 @@
 //! ```
 
 use crate::backoff::{Backoff, BackoffPolicy};
+use crate::crash;
 use crate::ctx::Ctx;
 use crate::error::AllocError;
 use crate::huge::{HugeHeap, HugeThread};
@@ -128,12 +129,6 @@ pub struct AttachOptions {
     /// these hints, skipping the bitset scan. 0 — the default —
     /// disables magazines.
     pub magazine_capacity: u32,
-    /// Defer each completed slab op's log-clear durability to the next
-    /// op's `begin` flush (the two share a cacheline), eliding one
-    /// flush + fence pair per op. Crash consistency is preserved: the
-    /// durable log then names the last *completed* op, whose redo is
-    /// idempotent (DESIGN.md §9.3).
-    pub coalesce_fences: bool,
     /// Start each slab's allocation scan from its first-fit rover — a
     /// volatile per-slab hint in the owner's descriptor shadow,
     /// advanced past each allocation and pulled back to each locally
@@ -177,7 +172,6 @@ impl Default for AttachOptions {
             recoverable: true,
             remote_free_batch: 1,
             magazine_capacity: 0,
-            coalesce_fences: false,
             rover: true,
             retain_empty: true,
             combining: false,
@@ -341,7 +335,6 @@ impl Cxlalloc {
                 .map_or(configured_batch, |c| c.effective_batch(configured_batch)),
             magazines,
             comb,
-            coalesce_fences: self.inner.options.coalesce_fences,
             rover: self.inner.options.rover,
             retain_empty: self.inner.options.retain_empty,
         }
@@ -477,10 +470,15 @@ impl Cxlalloc {
     ///
     /// A survivor repairs a thread that died without cleaning up (the
     /// handle is dropped while its slot is still LIVE, exactly what a
-    /// real crash leaves behind):
+    /// real crash leaves behind). Slab ops clear their log entry
+    /// without a flush of their own (DESIGN.md §9.3), so the durable
+    /// log still names the victim's last, *completed* allocation.
+    /// Recovery redoes it idempotently: the last allocation's bitset
+    /// edit died with the victim's cache, and the block allocated before
+    /// the quiesce point stays allocated:
     ///
     /// ```
-    /// use cxl_core::{AttachOptions, Cxlalloc};
+    /// use cxl_core::{AttachOptions, Cxlalloc, HeapKind, Op};
     /// use cxl_pod::{HwccMode, Pod, PodConfig};
     ///
     /// let pod = Pod::with_simulation(PodConfig::small_for_tests(), HwccMode::Limited)?;
@@ -489,12 +487,16 @@ impl Cxlalloc {
     ///
     /// let mut victim = heap.register_thread()?;
     /// let tid = victim.tid();
-    /// let _leaked = victim.alloc(64)?;
-    /// drop(victim); // dies mid-flight: slot stays LIVE, block stays allocated
+    /// let block = victim.alloc(64)?;
+    /// victim.flush_cache(); // quiesce point: the allocation is durable
+    /// let _last = victim.alloc(64)?;
+    /// drop(victim); // dies between ops: slot stays LIVE
     ///
     /// heap.mark_crashed(tid)?; // LIVE → DEAD (and drops the dead core's cache)
     /// let report = heap.recover(tid, survivor.core())?;
-    /// assert!(report.interrupted.is_none(), "no op was in flight: {}", report.outcome);
+    /// assert_eq!(report.interrupted, Some((Op::AllocBlock, HeapKind::Small)));
+    /// assert!(heap.census(survivor.core())?.small.contains(&block.offset()));
+    /// heap.check_invariants(survivor.core())?;
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn recover(&self, tid: ThreadId, via: CoreId) -> Result<RecoveryReport, AllocError> {
@@ -773,6 +775,9 @@ impl ThreadHandle {
     }
 
     fn alloc_inner(&mut self, size: usize, dst: u64) -> Result<OffsetPtr, AllocError> {
+        // The shadow is drained at every op boundary, so a plain point
+        // sees the same crash image as `Ctx::crash_point`.
+        crash::point("handle::alloc::entry");
         CURRENT.with(|c| c.set(Some((self.tid.raw(), self.core.0))));
         let inner = &self.heap.inner;
         let ctx = self.heap.ctx_with(
@@ -808,6 +813,7 @@ impl ThreadHandle {
     /// [`AllocError::WildPointer`] / [`AllocError::NotAllocated`] for
     /// pointers that do not reference a live allocation.
     pub fn dealloc(&mut self, ptr: OffsetPtr) -> Result<(), AllocError> {
+        crash::point("handle::dealloc::entry");
         CURRENT.with(|c| c.set(Some((self.tid.raw(), self.core.0))));
         let inner = &self.heap.inner;
         let layout = self.heap.mem().layout();
@@ -921,6 +927,7 @@ impl ThreadHandle {
     /// Runs one huge-heap cleanup pass (hazard scan + descriptor
     /// reclamation); returns the number of allocations reclaimed.
     pub fn cleanup(&mut self) -> u32 {
+        crash::point("handle::cleanup::entry");
         let ctx = self.heap.ctx_with(
             self.tid,
             self.core,

@@ -83,6 +83,16 @@ pub fn catch<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> Result<T, Cra
     }
 }
 
+/// Crash-point labels at the entry of each heap op of a
+/// [`ThreadHandle`](crate::ThreadHandle). A crash there lands *between*
+/// two ops, where the previous slab op's relaxed log clear may not be
+/// durable yet, so recovery redoes that completed op (DESIGN.md §9.3).
+pub const ENTRY_POINTS: &[&str] = &[
+    "handle::alloc::entry",
+    "handle::dealloc::entry",
+    "handle::cleanup::entry",
+];
+
 /// Collects the crash-point labels compiled into the allocator, by
 /// module, for white-box test enumeration. Kept in sync by the
 /// `crash_points` test in each module.
@@ -90,6 +100,7 @@ pub fn known_points() -> HashMap<&'static str, &'static [&'static str]> {
     let mut map: HashMap<&'static str, &'static [&'static str]> = HashMap::new();
     map.insert("slab", crate::slab::CRASH_POINTS);
     map.insert("huge", crate::huge::CRASH_POINTS);
+    map.insert("handle", ENTRY_POINTS);
     map
 }
 

@@ -40,9 +40,6 @@ pub(crate) struct Ctx<'m> {
     /// The calling thread's flat-combining state (`None` for
     /// foreign-thread contexts, which always publish directly).
     pub comb: Option<&'m crate::comb::Combiner>,
-    /// Whether log clears may defer their durability to the next
-    /// operation's `begin` flush (fence coalescing).
-    pub coalesce_fences: bool,
     /// Whether allocation scans start from the per-slab first-fit
     /// rover hint in the shadow (`false` reproduces scan-from-zero, for the
     /// rover differential tests and ablation benches).
@@ -56,7 +53,7 @@ pub(crate) struct Ctx<'m> {
 impl<'m> Ctx<'m> {
     /// The thread's recovery log (inert when recovery is disabled).
     pub fn log(&self) -> OpLog<'m> {
-        OpLog::with_options(self.mem, self.tid.slot(), self.recoverable, self.coalesce_fences)
+        OpLog::with_enabled(self.mem, self.tid.slot(), self.recoverable)
     }
 
     /// Detectable-CAS handle (plain CAS when recovery is disabled).

@@ -34,12 +34,6 @@ pub struct OpLog<'m> {
     /// `clear` are no-ops; `bump_version` still counts so detectable-CAS
     /// cells stay ABA-safe.
     enabled: bool,
-    /// When true, [`OpLog::clear_relaxed`] stores IDLE without its own
-    /// flush + fence: durability rides on the *next* `begin`'s 64-byte
-    /// flush of the same log cacheline (fence coalescing). `begin`
-    /// itself always flushes eagerly — the durable log must be at least
-    /// as new as any visible effect of the operation.
-    coalesce: bool,
 }
 
 impl<'m> std::fmt::Debug for OpLog<'m> {
@@ -68,17 +62,7 @@ impl<'m> OpLog<'m> {
     /// Creates a handle, optionally inert (the `cxlalloc-nonrecoverable`
     /// ablation).
     pub fn with_enabled(mem: &'m dyn PodMemory, slot: u32, enabled: bool) -> Self {
-        Self::with_options(mem, slot, enabled, false)
-    }
-
-    /// Creates a handle with fence coalescing opted in or out.
-    pub fn with_options(mem: &'m dyn PodMemory, slot: u32, enabled: bool, coalesce: bool) -> Self {
-        OpLog {
-            mem,
-            slot,
-            enabled,
-            coalesce,
-        }
+        OpLog { mem, slot, enabled }
     }
 
     #[inline]
@@ -108,7 +92,9 @@ impl<'m> OpLog<'m> {
         self.mem.fence(core);
     }
 
-    /// Clears the log to idle (operation completed), durably.
+    /// Clears the log to idle (operation completed), durably. Used where
+    /// redoing the completed operation would not be idempotent: the huge
+    /// heap, recovery itself, and the slab ops DESIGN.md §9.3 lists.
     pub fn clear(&self, core: CoreId) {
         if !self.enabled {
             return;
@@ -118,25 +104,18 @@ impl<'m> OpLog<'m> {
         self.mem.fence(core);
     }
 
-    /// Clears the log to idle, coalescing the flush + fence when the
-    /// handle opted in: the IDLE store stays in the core's cache and
-    /// becomes durable with the next `begin`'s flush of the same
-    /// cacheline. Until then the durable log still names the *completed*
-    /// operation, so a crash in the window redoes it — safe for every
-    /// slab op, whose redo is idempotent from durable ground truth
-    /// (DESIGN.md §9.3). Huge-heap ops keep the eager [`OpLog::clear`]:
-    /// redoing a completed `HugeAlloc` would roll back a delivered
-    /// allocation.
+    /// Clears the log to idle without a flush + fence of its own — the
+    /// slab heap's log protocol. The IDLE store stays in the core's
+    /// cache and becomes durable with the next `begin`'s flush of the
+    /// same cacheline. Until then the durable log still names the
+    /// *completed* operation, so a crash in the window redoes it; that is
+    /// safe exactly when the redo is idempotent from durable ground
+    /// truth (DESIGN.md §9.3). Everything else uses [`OpLog::clear`].
     pub fn clear_relaxed(&self, core: CoreId) {
-        if !self.coalesce {
-            return self.clear(core);
-        }
         if !self.enabled {
             return;
         }
         self.mem.store_u64(core, self.word_off(), LogWord::IDLE.pack());
-        self.mem.note_flush_coalesced();
-        self.mem.note_fence_elided();
     }
 
     /// Bumps and durably stores the thread's dcas version counter,
@@ -236,7 +215,7 @@ mod tests {
         let pod = Pod::with_simulation(PodConfig::small_for_tests(), HwccMode::Limited).unwrap();
         let mem = pod.memory().as_ref();
         let sim = mem.as_any().downcast_ref::<cxl_pod::SimMemory>().unwrap();
-        let log = OpLog::with_options(mem, 0, true, true);
+        let log = OpLog::new(mem, 0);
         let word = LogWord { op: 5, a: 1, b: 2, c: 3 };
         log.begin(CoreId(0), word, &[]);
         log.clear_relaxed(CoreId(0));
@@ -253,13 +232,13 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_clear_without_optin_is_durable() {
+    fn eager_clear_is_durable() {
         let pod = Pod::with_simulation(PodConfig::small_for_tests(), HwccMode::Limited).unwrap();
         let mem = pod.memory().as_ref();
         let sim = mem.as_any().downcast_ref::<cxl_pod::SimMemory>().unwrap();
-        let log = OpLog::with_options(mem, 0, true, false);
+        let log = OpLog::new(mem, 0);
         log.begin(CoreId(0), LogWord { op: 5, a: 1, b: 2, c: 3 }, &[]);
-        log.clear_relaxed(CoreId(0));
+        log.clear(CoreId(0));
         sim.cache().discard_all(0);
         assert_eq!(log.read(CoreId(1)).word, LogWord::IDLE);
     }

@@ -119,7 +119,10 @@ impl Op {
 /// What recovery found and did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// The interrupted operation, if any.
+    /// The operation the dead thread's durable log named, if any. Slab
+    /// ops clear their log entry relaxed (DESIGN.md §9.3), so this may
+    /// be the thread's last *completed* op, which recovery redoes
+    /// idempotently; it does not prove an op was in flight.
     pub interrupted: Option<(Op, HeapKind)>,
     /// Human-readable outcome.
     pub outcome: &'static str,
@@ -503,7 +506,7 @@ fn recover_slab(
                 report.outcome = "push had not happened";
             } else {
                 // Popped but not pushed: complete the push.
-                heap.push_global(ctx, slab);
+                heap.push_global(ctx, slab, None);
                 report.outcome = "push redone";
             }
         }

@@ -298,8 +298,6 @@ pub struct SimConfig {
     /// Magazine capacity passed to [`AttachOptions`]; 0 (the default)
     /// disables magazines.
     pub magazine_capacity: u32,
-    /// Fence coalescing passed to [`AttachOptions`].
-    pub coalesce_fences: bool,
     /// Fabric contention model for the pod ([`cxl_pod::fabric`]):
     /// `None` (the default) builds the pod with a disabled fabric,
     /// keeping every classic schedule cost-identical to pre-fabric
@@ -320,7 +318,6 @@ impl Default for SimConfig {
             lease_expiry_ticks: 3,
             remote_free_batch: 1,
             magazine_capacity: 0,
-            coalesce_fences: false,
             fabric: None,
         }
     }
@@ -518,7 +515,6 @@ pub fn run_on(
                     unsized_limit: 1,
                     remote_free_batch: config.remote_free_batch,
                     magazine_capacity: config.magazine_capacity,
-                    coalesce_fences: config.coalesce_fences,
                     ..AttachOptions::default()
                 },
             )

@@ -430,27 +430,25 @@ impl SlabHeap {
         }
     }
 
-    /// Pushes `slab` (owned, unlinked, empty) onto the calling thread's
-    /// home stripe of the global free list. The stripe index travels in
-    /// the oplog record's `b` byte so recovery detects against the
-    /// right head cell.
-    pub(crate) fn push_global(&self, ctx: &Ctx<'_>, slab: u32) {
+    /// Pushes `slab` (owned, empty) onto the calling thread's home
+    /// stripe of the global free list. The stripe index travels in the
+    /// oplog record's `b` byte so recovery detects against the right
+    /// head cell.
+    ///
+    /// With `pop_from`, `slab` is the head of the private list at that
+    /// offset and is popped only *after* the `PushGlobal` record is
+    /// durable: the pop is a cached, unlogged list edit, so if it ran
+    /// first a crash would leave the log naming the previous, completed
+    /// op (the log clear is relaxed, DESIGN.md §9.3), whose redo would
+    /// then normalize over the lost edit. Without `pop_from` the slab
+    /// must already be unlinked (recovery's redo).
+    pub(crate) fn push_global(&self, ctx: &Ctx<'_>, slab: u32, mut pop_from: Option<u64>) {
         let hl = self.hl(ctx.mem);
         let stripe = self.home_stripe(ctx);
         let head_cell = hl.global_free_at(stripe);
         let dcas = ctx.dcas();
         loop {
             let head = dcas.read(ctx.core, head_cell);
-            // Slabs on the global list are unowned and unsized.
-            self.set_header(ctx, slab, SwccHeader {
-                next: head.payload,
-                owner: 0,
-                class: 0,
-                flags: 0,
-            });
-            // Ownership is about to change: flush + fence the descriptor
-            // before publishing (§3.2.2).
-            self.flush_desc(ctx, slab);
             let version = ctx.log().bump_version(ctx.core);
             ctx.log().begin(
                 ctx.core,
@@ -463,6 +461,20 @@ impl SlabHeap {
                 &[],
             );
             ctx.crash_point("slab::push_global::after_log");
+            if let Some(head_off) = pop_from.take() {
+                self.pop_local(ctx, head_off);
+                ctx.crash_point("slab::push_global::after_pop");
+            }
+            // Slabs on the global list are unowned and unsized.
+            self.set_header(ctx, slab, SwccHeader {
+                next: head.payload,
+                owner: 0,
+                class: 0,
+                flags: 0,
+            });
+            // Ownership is about to change: flush + fence the descriptor
+            // before publishing (§3.2.2).
+            self.flush_desc(ctx, slab);
             if dcas
                 .attempt(ctx.core, head_cell, head, slab + 1, ctx.tid, version)
                 .is_ok()
@@ -641,7 +653,7 @@ impl SlabHeap {
             self.full_transition(ctx, slab, class);
             ctx.crash_point("slab::alloc_block::after_transition");
         }
-        self.finish_alloc(ctx, slab, class, bit, detect_dst)
+        self.finish_alloc(ctx, slab, class, bit, detect_dst, remaining == 0)
     }
 
     /// Allocates the specific free block `bit` of owned, sized `slab` (a
@@ -687,11 +699,21 @@ impl SlabHeap {
             self.full_transition(ctx, slab, class);
             ctx.crash_point("slab::alloc_block::after_transition");
         }
-        self.finish_alloc(ctx, slab, class, bit, detect_dst)
+        self.finish_alloc(ctx, slab, class, bit, detect_dst, remaining == 0)
     }
 
     /// Common allocation epilogue: deliver the pointer, retire the log
     /// entry, return the block offset.
+    ///
+    /// The retirement is eager — a durable clear — when the op either
+    /// delivered to `detect_dst` or ran the full-slab transition (`full`),
+    /// because the `AllocBlock` redo is not idempotent after either: the
+    /// application may legally clear `*detect_dst` once it hands the
+    /// block on (the redo would then roll back a block a peer frees),
+    /// and a detached or disowned slab may be drained, stolen and
+    /// re-initialized by another thread (the redo would normalize a slab
+    /// that thread owns). Every other allocation leaves its slab owned
+    /// by the caller and clears relaxed (DESIGN.md §9.3).
     ///
     /// When the caller asked for detectability (`detect_dst != 0`), the
     /// block offset is stored into `*detect_dst` *before* the log entry
@@ -702,7 +724,15 @@ impl SlabHeap {
     /// store would leak the block. The store goes straight to the
     /// segment: `detect_dst` is application data, written exactly as the
     /// caller would have written it.
-    fn finish_alloc(&self, ctx: &Ctx<'_>, slab: u32, class: u8, bit: u32, detect_dst: u64) -> u64 {
+    fn finish_alloc(
+        &self,
+        ctx: &Ctx<'_>,
+        slab: u32,
+        class: u8,
+        bit: u32,
+        detect_dst: u64,
+        full: bool,
+    ) -> u64 {
         let block =
             self.hl(ctx.mem).slab_data_at(slab) + bit as u64 * self.classes.block_size(class) as u64;
         if detect_dst != 0 {
@@ -712,7 +742,11 @@ impl SlabHeap {
                 .store(block, std::sync::atomic::Ordering::SeqCst);
             ctx.crash_point("slab::alloc_block::after_deliver");
         }
-        ctx.log().clear_relaxed(ctx.core);
+        if detect_dst != 0 || full {
+            ctx.log().clear(ctx.core);
+        } else {
+            ctx.log().clear_relaxed(ctx.core);
+        }
         block
     }
 
@@ -868,11 +902,10 @@ impl SlabHeap {
     pub(crate) fn release_overflow(&self, ctx: &Ctx<'_>) {
         let head_off = self.unsized_head_off(ctx);
         while self.list_len(ctx, head_off, ctx.unsized_limit + 1) > ctx.unsized_limit {
-            let Some(slab) = self.pop_local(ctx, head_off) else {
+            let Some(slab) = self.head_of(ctx, head_off) else {
                 return;
             };
-            ctx.crash_point("slab::push_global::after_pop");
-            self.push_global(ctx, slab);
+            self.push_global(ctx, slab, Some(head_off));
         }
     }
 

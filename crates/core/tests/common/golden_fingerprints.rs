@@ -20,7 +20,7 @@
 pub const CLASSIC: &[(u64, u64)] = &[
     (3, 0xe07ff893a929d366),
     (11, 0x36f865dd1093456b),
-    (12, 0x078e3b534aaae6df),
+    (12, 0x78675ffcac179505),
     (17, 0x1a24f90193625841),
     (91, 0x18c983f23fa04836),
 ];
@@ -29,12 +29,12 @@ pub const CLASSIC: &[(u64, u64)] = &[
 #[allow(dead_code)]
 pub const LIVENESS: &[(u64, u64)] = &[
     (5, 0x3e653b5093fbfb23),
-    (23, 0xbd3d5b821137b186),
-    (47, 0x19293bac26aebed6),
+    (23, 0x55b495b7daa34c14),
+    (47, 0x1234099ff258b1e4),
 ];
 
-/// Liveness profile with batched remote frees, magazines, and fence
-/// coalescing (PR 4): (seed, fingerprint).
+/// Liveness profile with batched remote frees and magazines:
+/// (seed, fingerprint).
 #[allow(dead_code)]
 pub const BATCHED: &[(u64, u64)] = &[
     (23, 0x55b495b7daa34c14),
@@ -44,11 +44,11 @@ pub const BATCHED: &[(u64, u64)] = &[
 /// Trace-stream fingerprint of the scripted crash/recovery schedule in
 /// `trace_determinism.rs` (tracer armed, 3 hosts, seed 42).
 #[allow(dead_code)]
-pub const TRACE_SCRIPTED: u64 = 0x51c9a9d296a92ea4;
+pub const TRACE_SCRIPTED: u64 = 0x13fd19b4784272fc;
 
 /// Trace-stream fingerprint of the same scripted schedule on a pod with
 /// the congested fabric preset (`FabricConfig::congested()`): pins the
 /// cost determinism of the fabric layer, which schedule fingerprints
 /// (outcomes and offsets only) cannot see.
 #[allow(dead_code)]
-pub const TRACE_CONGESTED: u64 = 0x32d54e44deec2580;
+pub const TRACE_CONGESTED: u64 = 0x897d665a3b468e27;

@@ -1,5 +1,5 @@
-//! PR 4 acceptance tests: batched remote frees, per-thread magazines,
-//! and fence coalescing.
+//! Acceptance tests for batched remote frees and per-thread
+//! magazines.
 //!
 //! * Crash matrix over the batched publish path
 //!   ([`cxl_core::slab::BATCH_CRASH_POINTS`]): a decrement-by-k must be
@@ -43,7 +43,6 @@ fn batched_options(batch: u32) -> AttachOptions {
     AttachOptions {
         remote_free_batch: batch,
         magazine_capacity: 4,
-        coalesce_fences: true,
         ..AttachOptions::default()
     }
 }
@@ -345,7 +344,6 @@ proptest! {
             Cxlalloc::attach(pod_off.spawn_process(), AttachOptions::default()).unwrap();
         let heap_on = Cxlalloc::attach(pod_on.spawn_process(), AttachOptions {
             magazine_capacity: 8,
-            coalesce_fences: true,
             ..AttachOptions::default()
         })
         .unwrap();
@@ -424,7 +422,6 @@ fn batched_remote_free_differential_matches_eager() {
                 pod.spawn_process(),
                 AttachOptions {
                     remote_free_batch: batch,
-                    coalesce_fences: batch > 1,
                     ..AttachOptions::default()
                 },
             )

@@ -25,7 +25,7 @@
 //!   threads' words are published and DONE-marked.
 
 use cxl_core::crash::{self, CrashPlan};
-use cxl_core::{comb, AttachOptions, Cxlalloc, HeapKind, OffsetPtr, ThreadId};
+use cxl_core::{comb, AttachOptions, Cxlalloc, HeapKind, OffsetPtr, Op, ThreadId};
 use cxl_pod::{CoreId, HwccMode, Pod, PodConfig};
 use proptest::prelude::*;
 
@@ -56,7 +56,6 @@ fn overflow_options() -> AttachOptions {
 fn combining_options() -> AttachOptions {
     AttachOptions {
         remote_free_batch: 4,
-        coalesce_fences: true,
         combining: true,
         ..AttachOptions::default()
     }
@@ -209,21 +208,20 @@ fn striped_push_global_crash_points_recover() {
         heap.mark_crashed(tid).unwrap();
 
         let report = heap.recover(tid, survivor.core()).unwrap();
-        // At `after_pop` nothing is logged yet (the pop is a cached
-        // local-list edit): recovery legitimately finds an idle log.
-        if point != "slab::push_global::after_pop" {
-            assert!(report.interrupted.is_some(), "{point}");
-        }
+        // The `PushGlobal` record precedes the pop (a cached
+        // local-list edit), so every point finds the push logged.
+        assert_eq!(
+            report.interrupted,
+            Some((Op::PushGlobal, HeapKind::Small)),
+            "{point}"
+        );
         heap.check_invariants(survivor.core())
             .unwrap_or_else(|e| panic!("invariants after {point}: {e}"));
 
-        // The pushed (or half-pushed) slab is still reachable once the
-        // log records it: a slab's worth of blocks allocates without
-        // growing the heap past the victim's two slabs. At `after_pop`
-        // nothing is logged and the victim's cached list edits (the
-        // retained slab's relink, the pop) are lost with its cache, so
-        // one extension is the legitimate worst case.
-        let cap = if point == "slab::push_global::after_pop" { 3 } else { 2 };
+        // The pushed (or half-pushed) slab is still reachable because
+        // the log records it: a slab's worth of blocks allocates without
+        // growing the heap past the victim's two slabs.
+        let cap = 2;
         let (mut adopted, _) = heap.adopt(tid, survivor.core()).unwrap();
         let held: Vec<OffsetPtr> = (0..512).map(|_| adopted.alloc(64).unwrap()).collect();
         assert!(

@@ -114,11 +114,6 @@ pub trait PodMemory: Send + Sync + std::fmt::Debug {
     /// Records a flat-combining request handed over to another thread's
     /// publish (statistics only).
     fn note_comb_wait(&self) {}
-    /// Records a fence elided by epoch coalescing (statistics only).
-    fn note_fence_elided(&self) {}
-    /// Records a flush coalesced into a later flush of the same line
-    /// (statistics only).
-    fn note_flush_coalesced(&self) {}
     /// Records `k` remote frees delivered through one batched decrement
     /// (statistics only).
     fn note_remote_free_batched(&self, _k: u64) {}
@@ -259,12 +254,6 @@ impl PodMemory for RawMemory {
     fn note_comb_wait(&self) {
         self.stats.comb_wait();
     }
-
-    // note_fence_elided / note_flush_coalesced stay no-ops here for the
-    // same reason `flush`/`fence` are empty: they would fire per
-    // allocator op and put a shared counter on the fast path of a
-    // backend whose flushes are free anyway. Use SimMemory when the
-    // traffic counters matter.
 
     #[inline]
     fn note_remote_free_batched(&self, k: u64) {
@@ -1025,14 +1014,6 @@ impl PodMemory for SimMemory {
 
     fn tracer(&self) -> Option<&Tracer> {
         Some(&self.tracer)
-    }
-
-    fn note_fence_elided(&self) {
-        self.stats.fence_elided();
-    }
-
-    fn note_flush_coalesced(&self) {
-        self.stats.flush_coalesced();
     }
 
     fn note_remote_free_batched(&self, k: u64) {

@@ -36,8 +36,6 @@ struct Shard {
     breaker_trips: AtomicU64,
     breaker_heals: AtomicU64,
     fallback_cas: AtomicU64,
-    fences_elided: AtomicU64,
-    flushes_coalesced: AtomicU64,
     remote_free_batched: AtomicU64,
     remote_buf_evictions: AtomicU64,
     cas_retries_pop_global: AtomicU64,
@@ -254,16 +252,6 @@ impl MemStats {
     pub fn fallback(&self) {
         bump!(self.fallback_cas);
     }
-    /// Records a fence elided by epoch coalescing.
-    #[inline]
-    pub fn fence_elided(&self) {
-        bump!(self.fences_elided);
-    }
-    /// Records a flush coalesced into a later one on the same line.
-    #[inline]
-    pub fn flush_coalesced(&self) {
-        bump!(self.flushes_coalesced);
-    }
     /// Records `k` remote frees delivered by one batched decrement.
     #[inline]
     pub fn remote_free_batched(&self, k: u64) {
@@ -315,8 +303,6 @@ impl MemStats {
             breaker_trips: sum!(self.breaker_trips),
             breaker_heals: sum!(self.breaker_heals),
             fallback_cas: sum!(self.fallback_cas),
-            fences_elided: sum!(self.fences_elided),
-            flushes_coalesced: sum!(self.flushes_coalesced),
             remote_free_batched: sum!(self.remote_free_batched),
             remote_buf_evictions: sum!(self.remote_buf_evictions),
             cas_retries_pop_global: sum!(self.cas_retries_pop_global),
@@ -370,10 +356,6 @@ pub struct MemStatsSnapshot {
     pub breaker_heals: u64,
     /// Software-fallback CAS operations.
     pub fallback_cas: u64,
-    /// Fences elided by epoch coalescing.
-    pub fences_elided: u64,
-    /// Flushes coalesced into a later flush of the same line.
-    pub flushes_coalesced: u64,
     /// Remote frees delivered through batched decrements.
     pub remote_free_batched: u64,
     /// Batched publishes forced by a full remote-free buffer evicting
@@ -431,10 +413,6 @@ impl MemStatsSnapshot {
             breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
             breaker_heals: self.breaker_heals.saturating_sub(earlier.breaker_heals),
             fallback_cas: self.fallback_cas.saturating_sub(earlier.fallback_cas),
-            fences_elided: self.fences_elided.saturating_sub(earlier.fences_elided),
-            flushes_coalesced: self
-                .flushes_coalesced
-                .saturating_sub(earlier.flushes_coalesced),
             remote_free_batched: self
                 .remote_free_batched
                 .saturating_sub(earlier.remote_free_batched),
@@ -511,14 +489,9 @@ mod tests {
     #[test]
     fn traffic_reduction_counters_accumulate() {
         let stats = MemStats::new();
-        stats.fence_elided();
-        stats.fence_elided();
-        stats.flush_coalesced();
         stats.remote_free_batched(7);
         stats.remote_free_batched(3);
         let snap = stats.snapshot();
-        assert_eq!(snap.fences_elided, 2);
-        assert_eq!(snap.flushes_coalesced, 1);
         assert_eq!(snap.remote_free_batched, 10);
     }
 
