@@ -70,8 +70,9 @@ const CHECK_MIN_NS: f64 = 25.0;
 
 /// Host-scaling gate (PR 8), applied by `--check` whenever the run
 /// includes the sweep's endpoints (groups `host_scaling` or
-/// `host_scaling_smoke`): at 32 simulated hosts the sharded+combining
-/// configuration must beat the unsharded baseline by at least this
+/// `host_scaling_smoke`): at 32 simulated hosts the sharded
+/// configuration (64 stripes, remote-free batch 64, 32-entry magazines)
+/// must beat the unsharded baseline by at least this
 /// factor of *modeled* time (the `sim_ns_per_op` counter — per-core
 /// virtual clocks with contended lines serialized, see EXPERIMENTS.md).
 /// Wall time on the single-threaded driver charges every simulated

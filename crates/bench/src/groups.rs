@@ -572,8 +572,8 @@ const HOST_SCALING_STRIPES: u32 = 64;
 
 /// The two swept configurations: the unsharded baseline (single global
 /// free-list head, the paper's eager §3.2.1 publish protocol) vs the
-/// sharded heap (64 per-host-stripe freelists) with batched publishes
-/// and contention-adaptive flat combining on top.
+/// sharded heap: 64 per-host-stripe freelists, remote-free batches of
+/// 64 and 32-entry magazines.
 fn host_scaling_variants() -> [(&'static str, u32, AttachOptions); 2] {
     // `unsized_limit: 0` on both sides: every emptied slab overflows to
     // the global free list instead of parking on the thread-local
@@ -595,7 +595,6 @@ fn host_scaling_variants() -> [(&'static str, u32, AttachOptions); 2] {
                 unsized_limit: 0,
                 remote_free_batch: 64,
                 magazine_capacity: 32,
-                combining: true,
                 ..AttachOptions::default()
             },
         ),
@@ -732,8 +731,8 @@ fn modeled_window(
 }
 
 /// Attaches the sweep's per-point counters (modeled ns/op, CAS retries
-/// with per-site attribution, line-contention traffic, combining
-/// activity, remote-buffer evictions) to the record just produced,
+/// with per-site attribution, line-contention traffic, remote-buffer
+/// evictions) to the record just produced,
 /// normalized per block op / per 1k block ops.
 fn annotate_host_scaling(group: &mut criterion::BenchmarkGroup<'_>, m: &Modeled) {
     let (delta, ops) = (&m.delta, m.ops);
@@ -752,7 +751,6 @@ fn annotate_host_scaling(group: &mut criterion::BenchmarkGroup<'_>, m: &Modeled)
         "line_transfers_per_kop",
         per_kop(delta.line_fills + delta.writebacks),
     );
-    group.annotate_last("comb_wins_per_kop", per_kop(delta.comb_wins));
     group.annotate_last(
         "remote_evictions_per_kop",
         per_kop(delta.remote_buf_evictions),
@@ -775,9 +773,10 @@ fn annotate_host_scaling(group: &mut criterion::BenchmarkGroup<'_>, m: &Modeled)
 }
 
 /// Host-scaling sweep (PR 8): 1–64 simulated hosts over the remote-free
-/// and kvstore paths, unsharded vs sharded+combining. Hosts are
-/// registered handles on distinct simulated cores driven round-robin on
-/// one OS thread over the `HwccMode::Limited` substrate: on the
+/// and kvstore paths, unsharded vs sharded (64 stripes, remote-free
+/// batch 64, 32-entry magazines). Hosts are registered handles on
+/// distinct simulated cores driven round-robin on one OS thread over
+/// the `HwccMode::Limited` substrate: on the
 /// wall-clock backend a CI box's scheduler would drown the coherence
 /// signal, while here every cross-host line transfer and publish CAS is
 /// real measured work and also shows up in the `MemStats` counters
@@ -845,16 +844,6 @@ fn host_scaling_sweep(
             let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
             let mut team: Vec<ThreadHandle> =
                 (0..hosts).map(|_| heap.register_thread().unwrap()).collect();
-            if stripes > 1 && hosts > 2 {
-                // The governor engages combining from the observed CAS
-                // retry rate, but a round-robin schedule on one OS
-                // thread never loses a CAS, so the sweep pins the
-                // combiner at the boost the governor would converge to
-                // under real multi-host contention (DESIGN.md §13).
-                for t in &team {
-                    t.force_combining(4);
-                }
-            }
             let mut routed: Vec<Vec<OffsetPtr>> = (0..hosts)
                 .map(|_| Vec::with_capacity(2 * HOST_SCALING_BLOCKS))
                 .collect();

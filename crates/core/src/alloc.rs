@@ -153,16 +153,6 @@ pub struct AttachOptions {
     /// transition), so the hysteresis is purely a live-path policy.
     /// `false` reproduces the paper's eager empty transition.
     pub retain_empty: bool,
-    /// Permit contention-adaptive flat-combining of remote-free
-    /// publications (DESIGN.md §13): when the per-thread governor
-    /// observes a high CAS-retry rate on the publish path, batched
-    /// publishes are posted to the thread's combiner-request word and
-    /// merged by a claim winner into one detectable CAS, and the
-    /// effective batch width widens beyond `remote_free_batch`. Quiet
-    /// threads keep the direct path, so uncontended latency is
-    /// unchanged. Requires `recoverable` (the request words are
-    /// resolved by crash recovery); ignored otherwise.
-    pub combining: bool,
 }
 
 impl Default for AttachOptions {
@@ -174,7 +164,6 @@ impl Default for AttachOptions {
             magazine_capacity: 0,
             rover: true,
             retain_empty: true,
-            combining: false,
         }
     }
 }
@@ -307,7 +296,7 @@ impl Cxlalloc {
     }
 
     fn ctx(&self, tid: ThreadId, core: CoreId) -> Ctx<'_> {
-        self.ctx_with(tid, core, None, None, None, None)
+        self.ctx_with(tid, core, None, None, None)
     }
 
     fn ctx_with<'a>(
@@ -317,9 +306,7 @@ impl Cxlalloc {
         shadow: Option<&'a DescShadow>,
         remote: Option<&'a RemoteFreeBuffer>,
         magazines: Option<&'a Magazines>,
-        comb: Option<&'a crate::comb::Combiner>,
     ) -> Ctx<'a> {
-        let configured_batch = self.inner.options.remote_free_batch.clamp(1, 255);
         Ctx {
             mem: self.mem(),
             core,
@@ -329,12 +316,8 @@ impl Cxlalloc {
             recoverable: self.inner.options.recoverable,
             shadow,
             remote,
-            // The governor may widen the configured batch while the
-            // publish path is contended (narrowing again when quiet).
-            remote_free_batch: comb
-                .map_or(configured_batch, |c| c.effective_batch(configured_batch)),
+            remote_free_batch: self.inner.options.remote_free_batch.clamp(1, 255),
             magazines,
-            comb,
             rover: self.inner.options.rover,
             retain_empty: self.inner.options.retain_empty,
         }
@@ -394,9 +377,6 @@ impl Cxlalloc {
             shadow: DescShadow::new(mem.hwcc_mode()),
             remote: RemoteFreeBuffer::new(),
             magazines: Magazines::new(self.inner.options.magazine_capacity),
-            comb: crate::comb::Combiner::new(
-                self.inner.options.combining && self.inner.options.recoverable,
-            ),
         }
     }
 
@@ -716,9 +696,6 @@ pub struct ThreadHandle {
     /// Volatile per-class magazines of recently freed local blocks.
     /// Inert unless `AttachOptions::magazine_capacity > 0`.
     magazines: Magazines,
-    /// Flat-combining governor and request-word mirror. Inert unless
-    /// `AttachOptions::combining` is set.
-    comb: crate::comb::Combiner,
 }
 
 impl ThreadHandle {
@@ -744,7 +721,6 @@ impl ThreadHandle {
             Some(&self.shadow),
             Some(&self.remote),
             Some(&self.magazines),
-            Some(&self.comb),
         )
     }
 
@@ -786,7 +762,6 @@ impl ThreadHandle {
             Some(&self.shadow),
             Some(&self.remote),
             Some(&self.magazines),
-            Some(&self.comb),
         );
         let result = if size <= inner.small.classes.max_size() as usize {
             inner.small.alloc(&ctx, size, dst)
@@ -811,7 +786,9 @@ impl ThreadHandle {
     /// # Errors
     ///
     /// [`AllocError::WildPointer`] / [`AllocError::NotAllocated`] for
-    /// pointers that do not reference a live allocation.
+    /// pointers that do not reference a live allocation. `Err` always
+    /// means the free did not happen; no error reports a free as
+    /// deferred or completed by another thread.
     pub fn dealloc(&mut self, ptr: OffsetPtr) -> Result<(), AllocError> {
         crash::point("handle::dealloc::entry");
         CURRENT.with(|c| c.set(Some((self.tid.raw(), self.core.0))));
@@ -824,7 +801,6 @@ impl ThreadHandle {
             Some(&self.shadow),
             Some(&self.remote),
             Some(&self.magazines),
-            Some(&self.comb),
         );
         let result = if layout.small.data.contains(offset) {
             inner.small.dealloc(&ctx, offset)
@@ -934,7 +910,6 @@ impl ThreadHandle {
             Some(&self.shadow),
             Some(&self.remote),
             Some(&self.magazines),
-            Some(&self.comb),
         );
         self.heap.inner.huge.cleanup(&ctx, &mut self.huge)
     }
@@ -1002,15 +977,6 @@ impl ThreadHandle {
         };
         let slab = hl.slab_of(offset).expect("offset is in the data region");
         self.shadow.set_rover(mem, self.core, heap.kind, slab, rover);
-    }
-
-    /// Pins this thread's flat-combining governor: `boost > 0` engages
-    /// combining at that batch boost, `0` disengages. A deterministic
-    /// knob for tests and benchmarks; requires
-    /// [`AttachOptions::combining`] (ignored otherwise). The governor
-    /// keeps adapting from subsequent retry-rate windows as usual.
-    pub fn force_combining(&self, boost: u32) {
-        self.comb.force(boost);
     }
 }
 

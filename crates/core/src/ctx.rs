@@ -37,9 +37,6 @@ pub(crate) struct Ctx<'m> {
     /// The calling thread's free-block magazines (`None` for
     /// foreign-thread contexts).
     pub magazines: Option<&'m Magazines>,
-    /// The calling thread's flat-combining state (`None` for
-    /// foreign-thread contexts, which always publish directly).
-    pub comb: Option<&'m crate::comb::Combiner>,
     /// Whether allocation scans start from the per-slab first-fit
     /// rover hint in the shadow (`false` reproduces scan-from-zero, for the
     /// rover differential tests and ablation benches).

@@ -912,14 +912,7 @@ impl SlabHeap {
     /// The remote-free path: decrement the HWcc counter with detectable
     /// (m)CAS; steal the slab if we reach zero.
     fn free_remote(&self, ctx: &Ctx<'_>, slab: u32, offset: u64) -> Result<(), AllocError> {
-        // While this thread's combiner-request word names `slab`, frees
-        // against it must bypass buffering: a durable `remote_buf`
-        // record for the same slab would give the slab two durable batch
-        // representations and recovery's dedup rule would double-count.
-        let buffering_blocked = ctx
-            .comb
-            .is_some_and(|c| c.blocks_buffering(self.kind, slab));
-        if ctx.remote_free_batch > 1 && !buffering_blocked {
+        if ctx.remote_free_batch > 1 {
             // A buffer full of singletons declines a new slab: evicting
             // one singleton to admit another saves no CAS, so the free
             // goes eager. Declined slabs have no DRAM entry and hence no
@@ -967,9 +960,6 @@ impl SlabHeap {
             {
                 ctx.crash_point("slab::remote_free::after_cas");
                 ctx.mem.trace_op(ctx.core, TraceKind::RemoteFreePublish, 1);
-                if let Some(comb) = ctx.comb {
-                    comb.note_publish();
-                }
                 if last {
                     self.steal(ctx, slab);
                 }
@@ -984,9 +974,6 @@ impl SlabHeap {
                 .note_cas_retry_at(cxl_pod::stats::CasRetrySite::RemotePublish);
             ctx.mem
                 .trace_op(ctx.core, TraceKind::CasRetry, hl.hwcc_desc_at(slab));
-            if let Some(comb) = ctx.comb {
-                comb.note_retry();
-            }
         }
     }
 
@@ -1020,16 +1007,6 @@ impl SlabHeap {
         }
         if count >= ctx.remote_free_batch {
             let k = buf.take(self.kind, slab);
-            // The contention governor routes hot publishes through the
-            // flat-combining path; quiet threads keep the direct CAS.
-            // Combining needs recovery machinery (the request word is
-            // resolved by crash recovery), so the nonrecoverable
-            // ablation always publishes directly.
-            if let Some(comb) = ctx.comb {
-                if ctx.recoverable && comb.should_combine() {
-                    return crate::comb::publish_combined(ctx, self, comb, slab, k);
-                }
-            }
             self.publish_remote_frees(ctx, slab, k);
         } else if ctx.recoverable {
             // Mirror the new pending count into the durable header line
@@ -1103,9 +1080,6 @@ impl SlabHeap {
                 ctx.mem.note_remote_free_batched(k_eff as u64);
                 ctx.mem
                     .trace_op(ctx.core, TraceKind::RemoteFreePublish, k_eff as u64);
-                if let Some(comb) = ctx.comb {
-                    comb.note_publish();
-                }
                 if last {
                     self.steal(ctx, slab);
                 }
@@ -1120,9 +1094,6 @@ impl SlabHeap {
                 .note_cas_retry_at(cxl_pod::stats::CasRetrySite::RemotePublish);
             ctx.mem
                 .trace_op(ctx.core, TraceKind::CasRetry, hl.hwcc_desc_at(slab));
-            if let Some(comb) = ctx.comb {
-                comb.note_retry();
-            }
         }
     }
 

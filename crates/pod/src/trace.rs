@@ -117,13 +117,8 @@ pub enum TraceKind {
     RemoteFreePublish = 22,
     /// Liveness lease renewal (heartbeat).
     LeaseRenew = 23,
-    /// Flat-combining election won: this thread published a combined
-    /// remote-free decrement (`arg` = combined batch width).
-    CombinerWin = 24,
-    /// Flat-combining request claimed by another thread: this thread's
-    /// batch was (or is being) published by the combiner (`arg` = batch
-    /// width handed over).
-    CombinerWait = 25,
+    // Discriminants 24 and 25 are retired; the others keep their values
+    // so recorded traces and fingerprints still decode.
     /// Explicit write-back of a span with the line *retained* in the
     /// core's cache — clwb semantics, vs [`TraceKind::Flush`]'s
     /// evicting clflush (`arg` = dirty lines written back).
@@ -140,11 +135,12 @@ pub enum TraceKind {
     FabricService = 29,
 }
 
-/// Number of event kinds (one past the highest discriminant).
+/// One past the highest discriminant (the width of per-kind tables
+/// indexed by discriminant).
 pub const KIND_COUNT: usize = 30;
 
 /// All kinds, in discriminant order.
-pub const ALL_KINDS: [TraceKind; KIND_COUNT] = [
+pub const ALL_KINDS: [TraceKind; 28] = [
     TraceKind::LoadHit,
     TraceKind::LoadFill,
     TraceKind::LoadHwcc,
@@ -169,8 +165,6 @@ pub const ALL_KINDS: [TraceKind; KIND_COUNT] = [
     TraceKind::SlabFree,
     TraceKind::RemoteFreePublish,
     TraceKind::LeaseRenew,
-    TraceKind::CombinerWin,
-    TraceKind::CombinerWait,
     TraceKind::WritebackKept,
     TraceKind::StoreSpan,
     TraceKind::FabricQueue,
@@ -180,7 +174,7 @@ pub const ALL_KINDS: [TraceKind; KIND_COUNT] = [
 impl TraceKind {
     /// Decodes a discriminant byte.
     pub fn from_u8(raw: u8) -> Option<TraceKind> {
-        ALL_KINDS.get(raw as usize).copied()
+        ALL_KINDS.into_iter().find(|&k| k as u8 == raw)
     }
 
     /// Stable display name.
@@ -210,8 +204,6 @@ impl TraceKind {
             TraceKind::SlabFree => "slab_free",
             TraceKind::RemoteFreePublish => "remote_free_publish",
             TraceKind::LeaseRenew => "lease_renew",
-            TraceKind::CombinerWin => "combiner_win",
-            TraceKind::CombinerWait => "combiner_wait",
             TraceKind::WritebackKept => "clwb",
             TraceKind::StoreSpan => "store_span",
             TraceKind::FabricQueue => "fabric_queue",
@@ -242,9 +234,7 @@ impl TraceKind {
             TraceKind::SlabAlloc
             | TraceKind::SlabFree
             | TraceKind::RemoteFreePublish
-            | TraceKind::LeaseRenew
-            | TraceKind::CombinerWin
-            | TraceKind::CombinerWait => "alloc",
+            | TraceKind::LeaseRenew => "alloc",
             TraceKind::FabricQueue | TraceKind::FabricService => "fabric",
         }
     }
@@ -618,7 +608,7 @@ pub mod attribution {
     //! Folding a trace into a per-phase, per-event-class
     //! latency-attribution table.
 
-    use super::{TraceKind, ALL_KINDS};
+    use super::TraceKind;
 
     /// One `(phase, kind)` row of the table.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -664,7 +654,7 @@ pub mod attribution {
                         .get(phase as usize)
                         .cloned()
                         .unwrap_or_else(|| format!("phase{phase}")),
-                    kind: ALL_KINDS[kind as usize],
+                    kind: TraceKind::from_u8(kind).expect("recorded kinds decode"),
                     count,
                     total_ns,
                 })
@@ -807,6 +797,16 @@ mod tests {
             stamp_ns: 123_456_789,
         };
         assert_eq!(Event::unpack(ev.pack()), ev);
+    }
+
+    #[test]
+    fn kinds_decode_by_discriminant() {
+        for k in ALL_KINDS {
+            assert_eq!(TraceKind::from_u8(k as u8), Some(k));
+            assert!((k as usize) < KIND_COUNT);
+        }
+        assert_eq!(TraceKind::from_u8(24), None);
+        assert_eq!(TraceKind::from_u8(25), None);
     }
 
     #[test]

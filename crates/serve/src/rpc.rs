@@ -217,12 +217,6 @@ pub mod status {
     /// Deadline-bounded control-plane waits that expired
     /// ([`super::ControlPlaneTimeout`]s observed by this worker).
     pub const TIMEOUTS: u64 = 64;
-    /// Deallocs that came back
-    /// [`cxl_core::AllocError::CombinerStalled`]: the free's combined
-    /// batch stayed durably parked under a stalled winner's custody
-    /// (published by the winner or its recovery, never republished by
-    /// this worker).
-    pub const COMBINER_STALLS: u64 = 72;
 }
 
 impl WorkerPlane {
