@@ -20,7 +20,12 @@
 //! `MemStats` counters for fences, line fills, and writebacks. A
 //! violation is a bug in the tracer wiring and aborts the report.
 //!
-//! Options: `--ops N` scales both sections; `--chrome PREFIX` writes
+//! Every reconciliation also splits the trace's `cas` category by the
+//! layout structure each CAS targeted (`Layout::cas_region`): per-slab
+//! HWcc descriptors, help cells, global heads, registry, leases. The
+//! rows must sum exactly to the category.
+//!
+//! Options: `--ops N` scales every section; `--chrome PREFIX` writes
 //! `PREFIX_micro.json` / `PREFIX_kvstore.json` in Chrome `chrome://tracing`
 //! format. Fingerprints are printed so runs can be compared for
 //! byte-identical replay (see `OBSERVABILITY.md`).
@@ -29,7 +34,7 @@ use baselines::{CxlallocAdapter, PodAlloc, PodAllocThread};
 use cxl_bench::allocators::{cxlalloc_pod, cxlalloc_pod_striped_fabric};
 use cxl_core::AttachOptions;
 use cxl_pod::trace::{chrome_trace_json, TraceKind, Tracer};
-use cxl_pod::{CoreId, FabricConfig, HwccMode, PodMemory};
+use cxl_pod::{CasRegion, CoreId, FabricConfig, HwccMode, PodMemory};
 use kvstore::KvStore;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -406,6 +411,8 @@ fn reconcile(mem: &Arc<dyn PodMemory>, cores: u32) -> Section {
          ({} requests, queue {} ns + service {} ns)",
         stats.fabric_requests, stats.fabric_queue_ns, stats.fabric_service_ns
     );
+    // Oracle 4: the per-structure split of the `cas` category.
+    cas_regions(mem.as_ref());
     println!(
         "stats: loads {} stores {} flushes {} cached_hits {} uncached_ops {} mcas {}+{} cas_retries {}",
         stats.loads,
@@ -430,6 +437,45 @@ fn reconcile(mem: &Arc<dyn PodMemory>, cores: u32) -> Section {
     Section {
         trace,
     }
+}
+
+/// Prints the `cas`-category events split by the layout structure each
+/// one targeted (count, ns, mean ns), and checks that the rows sum
+/// exactly to the category's attribution rows.
+fn cas_regions(mem: &dyn PodMemory) {
+    let tracer = mem.tracer().expect("simulated backends carry a tracer");
+    let layout = mem.layout();
+    let mut rows = [(0u64, 0u64); CasRegion::ALL.len()];
+    for target in tracer.cas_targets() {
+        let row = &mut rows[layout.cas_region(target.offset) as usize];
+        row.0 += target.count;
+        row.1 += target.total_ns;
+    }
+    let (count, ns) = tracer
+        .attribution()
+        .rows()
+        .iter()
+        .filter(|r| r.kind.category() == "cas")
+        .fold((0, 0), |(c, n), r| (c + r.count, n + r.total_ns));
+    let split = rows.iter().fold((0, 0), |(c, n), r| (c + r.0, n + r.1));
+    assert_eq!(split, (count, ns), "the CAS split must sum to the cas category");
+    println!(
+        "  {:<14} {:>10} {:>14} {:>10}",
+        "cas target", "count", "total ns", "mean ns"
+    );
+    for (region, (n, total)) in CasRegion::ALL.into_iter().zip(rows) {
+        if n == 0 {
+            continue;
+        }
+        println!(
+            "  {:<14} {:>10} {:>14} {:>10.1}",
+            region.name(),
+            n,
+            total,
+            total as f64 / n as f64
+        );
+    }
+    println!("reconciled: CAS split {count} events / {ns} ns == cas category");
 }
 
 fn run_micro_section(ops: u64) -> Section {

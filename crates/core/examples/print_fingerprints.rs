@@ -82,15 +82,21 @@ fn trace_fingerprint_congested() -> u64 {
     tracer.fingerprint()
 }
 
+/// Re-runs every pinned seed of `explorer`'s profile. A profile with
+/// batched remote frees only pins seeds that batch at least one free,
+/// so its pins cannot silently stop witnessing batching.
 fn recompute(explorer: &Explorer, pinned: &[(u64, u64)]) -> Vec<(u64, u64)> {
     pinned
         .iter()
         .map(|&(seed, _)| {
-            let fp = explorer
+            let report = explorer
                 .run_seed(seed)
-                .unwrap_or_else(|e| panic!("pinned seed {seed} fails outright: {e:?}"))
-                .fingerprint;
-            (seed, fp)
+                .unwrap_or_else(|e| panic!("pinned seed {seed} fails outright: {e:?}"));
+            assert!(
+                explorer.config.remote_free_batch <= 1 || report.remote_free_batched > 0,
+                "pinned seed {seed} batches no remote free; pin another seed"
+            );
+            (seed, report.fingerprint)
         })
         .collect()
 }
@@ -196,8 +202,9 @@ fn main() {
     }
     let _ = write!(
         out,
-        "];\n\n/// Liveness profile with batched remote frees and magazines:\n\
-         /// (seed, fingerprint).\n\
+        "];\n\n/// Liveness profile with magazines and batched remote frees, where\n\
+         /// every dealloc step frees the next host's block: (seed,\n\
+         /// fingerprint). Every pinned seed batches at least one free.\n\
          #[allow(dead_code)]\n\
          pub const BATCHED: &[(u64, u64)] = &[\n"
     );

@@ -430,8 +430,21 @@ fn recover_slab(
             refresh_slab_view(ctx, heap, slab);
             let class = entry.word.b;
             let bit = entry.word.c as u32;
+            // A slab's init is a cached write, durable only at the next
+            // descriptor flush. If the durable header does not show the
+            // slab sized for `class`, the init died with the thread's
+            // cache (its first use of the slab): redo it, so the block is
+            // judged against the structure it was carved from and a kept
+            // block is one the census sees. Whether its bit was cleared
+            // is then unknowable, so the block counts as allocated.
+            let header = heap.header(ctx, slab);
+            let init_lost = header.flags & crate::cell::flags::SIZED == 0 || header.class != class;
+            if init_lost {
+                unlink_local_everywhere(ctx, heap, slab);
+                heap.init_slab_body(ctx, slab, class);
+            }
             let bits = heap.bits(ctx, slab, class);
-            if !bits.get(ctx.core, bit) {
+            if init_lost || !bits.get(ctx.core, bit) {
                 // The block was allocated. Did the application get the
                 // pointer? Only if the detect destination holds it.
                 let block_off =
@@ -441,6 +454,7 @@ fn recover_slab(
                     && ctx.mem.segment().atomic_u64(dst).load(std::sync::atomic::Ordering::SeqCst)
                         == block_off;
                 if delivered {
+                    bits.clear(ctx.core, bit);
                     report.outcome = "allocation delivered; kept";
                 } else if dst != 0 {
                     bits.set(ctx.core, bit);
@@ -448,6 +462,7 @@ fn recover_slab(
                 } else {
                     // No detect destination: we cannot prove the app
                     // didn't get it. Keep it allocated, report it.
+                    bits.clear(ctx.core, bit);
                     report.lost_block = Some(block_off);
                     report.outcome = "allocation kept; reported as lost";
                 }

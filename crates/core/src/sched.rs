@@ -293,7 +293,12 @@ pub struct SimConfig {
     /// without a lease renewal before a LIVE slot is declared dead.
     pub lease_expiry_ticks: u32,
     /// Remote-free batch width passed to [`AttachOptions`]; 1 (the
-    /// default) keeps the paper's eager per-free publish.
+    /// default) keeps the paper's eager per-free publish and schedules
+    /// free only their own blocks. Above 1, a [`Step::Dealloc`] frees a
+    /// block of the *next* host (`host + 1`, wrapping) through the
+    /// stepping host's handle, so the run exercises batched remote
+    /// frees, and the fingerprint also mixes
+    /// `MemStats::remote_free_batched`.
     pub remote_free_batch: u32,
     /// Magazine capacity passed to [`AttachOptions`]; 0 (the default)
     /// disables magazines.
@@ -363,6 +368,9 @@ pub struct RunReport {
     pub degrades: u64,
     /// Faults the pod injector reported injecting during the run.
     pub faults_injected: u64,
+    /// Remote frees the pod published in batches during the run
+    /// (`MemStats::remote_free_batched`).
+    pub remote_free_batched: u64,
 }
 
 /// Why a run failed: the failing step (if attributable) and the
@@ -548,6 +556,7 @@ pub fn run_on(
         detections: 0,
         degrades: 0,
         faults_injected: 0,
+        remote_free_batched: 0,
     };
 
     for (i, step) in schedule.steps.iter().enumerate() {
@@ -595,8 +604,13 @@ pub fn run_on(
         message,
     })?;
 
-    report.faults_injected = pod.memory().stats().faults_injected;
+    let stats = pod.memory().stats();
+    report.faults_injected = stats.faults_injected;
+    report.remote_free_batched = stats.remote_free_batched;
     fp.mix(report.faults_injected);
+    if config.remote_free_batch > 1 {
+        fp.mix(report.remote_free_batched);
+    }
     report.fingerprint = fp.0;
     Ok(report)
 }
@@ -652,16 +666,22 @@ fn exec_step(
             }
         }
         Step::Dealloc { index, .. } => {
-            let host = &mut hosts[host_index];
-            let Some(handle) = host.handle.as_mut() else {
+            if hosts[host_index].handle.is_none() {
                 fp.tag("dead");
                 return Ok(());
+            }
+            let owner = if config.remote_free_batch > 1 {
+                (host_index + 1) % hosts.len()
+            } else {
+                host_index
             };
-            if host.live.is_empty() {
+            let live = &mut hosts[owner].live;
+            if live.is_empty() {
                 fp.tag("empty");
                 return Ok(());
             }
-            let ptr = host.live.swap_remove(index % host.live.len());
+            let ptr = live.swap_remove(index % live.len());
+            let handle = hosts[host_index].handle.as_mut().expect("checked live");
             handle
                 .dealloc(ptr)
                 .map_err(|e| format!("dealloc({:#x}) on host {host_index}: {e}", ptr.offset()))?;

@@ -20,7 +20,7 @@
 pub const CLASSIC: &[(u64, u64)] = &[
     (3, 0xe07ff893a929d366),
     (11, 0x36f865dd1093456b),
-    (12, 0x78675ffcac179505),
+    (12, 0xf36539aaff6c7d66),
     (17, 0x1a24f90193625841),
     (91, 0x18c983f23fa04836),
 ];
@@ -33,22 +33,23 @@ pub const LIVENESS: &[(u64, u64)] = &[
     (47, 0x1234099ff258b1e4),
 ];
 
-/// Liveness profile with batched remote frees and magazines:
-/// (seed, fingerprint).
+/// Liveness profile with magazines and batched remote frees, where
+/// every dealloc step frees the next host's block: (seed,
+/// fingerprint). Every pinned seed batches at least one free.
 #[allow(dead_code)]
 pub const BATCHED: &[(u64, u64)] = &[
-    (23, 0x55b495b7daa34c14),
-    (47, 0x1234099ff258b1e4),
+    (15, 0x534025b54a319c73),
+    (72, 0x7a21692184b7b168),
 ];
 
 /// Trace-stream fingerprint of the scripted crash/recovery schedule in
 /// `trace_determinism.rs` (tracer armed, 3 hosts, seed 42).
 #[allow(dead_code)]
-pub const TRACE_SCRIPTED: u64 = 0x13fd19b4784272fc;
+pub const TRACE_SCRIPTED: u64 = 0x0c83d8ad4218431c;
 
 /// Trace-stream fingerprint of the same scripted schedule on a pod with
 /// the congested fabric preset (`FabricConfig::congested()`): pins the
 /// cost determinism of the fabric layer, which schedule fingerprints
 /// (outcomes and offsets only) cannot see.
 #[allow(dead_code)]
-pub const TRACE_CONGESTED: u64 = 0x897d665a3b468e27;
+pub const TRACE_CONGESTED: u64 = 0x03eee4603383cbb7;

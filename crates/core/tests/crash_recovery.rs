@@ -246,6 +246,41 @@ fn interrupted_alloc_without_destination_is_reported() {
     heap.check_invariants(adopted.core()).unwrap();
 }
 
+/// A thread's first-ever allocation carves its block from a slab whose
+/// init is still only in the thread's cache. A crash there loses the
+/// init with the cache; recovery must redo it, so the block it keeps
+/// and reports as lost is one the census lists too.
+#[test]
+fn lost_block_of_a_first_allocation_is_in_the_census() {
+    let pod = pod(Some(HwccMode::Limited));
+    let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+    let survivor = heap.register_thread().unwrap();
+    let (tid, crashed) = crash_thread(&heap, CrashPlan {
+        at: "slab::alloc_block::after_clear",
+        skip: 0,
+    }, |t| {
+        let _ = t.alloc(64);
+        unreachable!();
+    });
+    assert!(crashed);
+    heap.mark_crashed(tid).unwrap();
+    let report = heap.recover(tid, survivor.core()).unwrap();
+    assert_eq!(report.outcome, "allocation kept; reported as lost");
+    let lost = report.lost_block.expect("lost block must be reported");
+    survivor.flush_cache();
+    let census = heap.census(survivor.core()).unwrap();
+    assert_eq!(census.small, vec![lost], "census and recovery report disagree");
+    heap.check_invariants(survivor.core()).unwrap();
+    // The block is reclaimable through the adopted thread, after which
+    // nothing is allocated.
+    let (mut adopted, _) = heap.adopt(tid, survivor.core()).unwrap();
+    adopted.dealloc(OffsetPtr::new(lost).unwrap()).unwrap();
+    adopted.flush_local_caches();
+    adopted.flush_cache();
+    assert_eq!(heap.census(survivor.core()).unwrap().total(), 0);
+    heap.check_invariants(survivor.core()).unwrap();
+}
+
 #[test]
 fn every_huge_crash_point_recovers() {
     for point in cxl_core::huge::CRASH_POINTS {

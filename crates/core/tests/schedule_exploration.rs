@@ -44,6 +44,26 @@ fn random_schedules_pass_under_mcas_mode() {
     assert!(report.all_passed(), "failures: {:?}", report.failures);
 }
 
+/// The campaign with batched remote frees, where every dealloc step
+/// frees the next host's block: crashes land while the stepping host
+/// holds buffered frees of other hosts' blocks, and recovery must still
+/// republish every one of them.
+#[test]
+fn random_schedules_pass_with_batched_remote_frees() {
+    let explorer = Explorer {
+        config: SimConfig {
+            hosts: 3,
+            remote_free_batch: 8,
+            magazine_capacity: 4,
+            ..SimConfig::default()
+        },
+        ..Explorer::default()
+    };
+    let report = explorer.explore(0, 100);
+    assert!(report.all_passed(), "failures: {:?}", report.failures);
+    assert!(report.total_crashes > 0, "no schedule ever crashed a host");
+}
+
 /// Acceptance: an injected stale-read bug — core 0's flushes silently
 /// dropped, so its stores never reach durable memory — is caught
 /// deterministically by some schedule, and the failing seed replays
@@ -227,11 +247,12 @@ fn golden_replay_fingerprints_are_pinned() {
         let got = liveness.run_seed(seed).unwrap().fingerprint;
         assert_eq!(got, want, "liveness seed {seed}: {got:#018x} != {want:#018x}");
     }
-    // The liveness profile with batched remote frees and magazines
-    // enabled, pinned for determinism. Both pins equal the plain
-    // liveness pins of the same seeds: the fingerprint hashes step
-    // outcomes, offsets and recovery outcomes, and on these seeds
-    // batching and magazines change none of them.
+    // The liveness profile with magazines, and with every dealloc step
+    // freeing another host's block through a batched remote free
+    // (`remote_free_batch > 1`). The fingerprint also mixes
+    // `MemStats::remote_free_batched`, so a change to batching moves
+    // these pins even where it moves no offset, and every pinned seed
+    // must batch at least one free.
     let batched = Explorer {
         liveness: true,
         config: SimConfig {
@@ -242,7 +263,9 @@ fn golden_replay_fingerprints_are_pinned() {
         ..Explorer::default()
     };
     for &(seed, want) in golden::BATCHED {
-        let got = batched.run_seed(seed).unwrap().fingerprint;
+        let report = batched.run_seed(seed).unwrap();
+        assert!(report.remote_free_batched > 0, "batched seed {seed} batches nothing");
+        let got = report.fingerprint;
         assert_eq!(got, want, "batched seed {seed}: {got:#018x} != {want:#018x}");
     }
 }

@@ -16,6 +16,24 @@
 //!        | huge locals[] | huge desc pools[] | per-thread op logs[]
 //!        | liveness (fallback lock) ]
 //! [ data: small slabs | large slabs | huge pages ]
+//! [ tail: remote-free buffer lines[] | small stripe heads[] | large stripe heads[] ]
+//! ```
+//!
+//! Coherent-CAS targets that different hosts hit at the same time sit
+//! on distinct cachelines. A heap's `HWccDesc[]` is `L =
+//! max_slabs.div_ceil(8)` lines, strided so that slab `i` is word
+//! `i / L` of line `i % L`; any `L` consecutive slabs therefore use
+//! distinct lines, and the region is still 8 B per slab rounded up to a
+//! line. Each `help[]` cell has a line to itself, like the stripe heads
+//! and the per-thread local heads. `registry[]` and `leases[]` stay
+//! dense (8 B per slot): they are swept as one span, not CASed per op.
+//!
+//! ```text
+//! small HWccDesc[], max_slabs = 20, L = 3:
+//!   line 0: slab 0  slab 3  slab 6  slab 9  slab 12 slab 15 slab 18  -
+//!   line 1: slab 1  slab 4  slab 7  slab 10 slab 13 slab 16 slab 19  -
+//!   line 2: slab 2  slab 5  slab 8  slab 11 slab 14 slab 17   -      -
+//! help[]:   line t: thread t's 8 B cell, 56 B unused
 //! ```
 
 use crate::config::{
@@ -57,7 +75,9 @@ pub struct HeapLayout {
     pub global_free: u64,
     /// Per-slab HWcc descriptors, 8 bytes each: the remote-free counter
     /// plus the embedded detectable-CAS thread id and version (paper
-    /// §3.4.2: "2B to 6B (8B aligned) per slab").
+    /// §3.4.2: "2B to 6B (8B aligned) per slab"). `max_slabs.div_ceil(8)`
+    /// cachelines, strided so consecutive slabs sit on distinct lines
+    /// (see [`Self::hwcc_desc_at`]).
     pub hwcc_desc: Region,
     /// Per-thread local free-list heads (`SmallLocal`).
     pub local: Region,
@@ -99,11 +119,16 @@ impl HeapLayout {
         }
     }
 
-    /// Offset of slab `index`'s HWcc descriptor.
+    /// Offset of slab `index`'s HWcc descriptor: word `index / L` of
+    /// line `index % L`, where `L` is the region's line count. Slabs
+    /// that are hot together (consecutive indices) thus CAS distinct
+    /// lines, while the region stays 8 B per slab rounded up to a line.
     #[inline]
     pub fn hwcc_desc_at(&self, index: u32) -> u64 {
         debug_assert!(index < self.max_slabs);
-        self.hwcc_desc.start + index as u64 * 8
+        let lines = self.hwcc_desc.len / CACHELINE;
+        let (line, word) = (index as u64 % lines, index as u64 / lines);
+        self.hwcc_desc.start + line * CACHELINE + word * 8
     }
 
     /// Offset of slab `index`'s SWcc descriptor header.
@@ -162,7 +187,9 @@ impl HeapLayout {
 
     /// Bytes of HWcc memory used once `len` slabs exist: the two global
     /// cells plus one 8-byte descriptor per slab. This is the §5.2.1
-    /// "HWcc memory" metric.
+    /// "HWcc memory" metric. It counts reserved words, not cachelines
+    /// touched: strided, the first `len` descriptors sit on `min(len, L)`
+    /// distinct lines (see [`Self::hwcc_desc_at`]).
     pub fn hwcc_bytes(&self, len: u32) -> u64 {
         16 + len as u64 * 8
     }
@@ -261,7 +288,8 @@ impl HugeLayout {
 pub struct Layout {
     /// The entire HWcc region (must stay small; see §3.2).
     pub hwcc: Region,
-    /// Detectable-CAS help array: one 8-byte cell per thread slot.
+    /// Detectable-CAS help array: one 8-byte cell per thread slot, each
+    /// on its own cacheline.
     pub help: Region,
     /// Thread registry: one 8-byte claim cell per thread slot.
     pub registry: Region,
@@ -299,6 +327,55 @@ pub struct Layout {
     pub max_threads: u32,
 }
 
+/// The layout structure a coherent CAS targets ([`Layout::cas_region`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CasRegion {
+    /// Per-slab HWcc descriptors of both heaps.
+    HwccDesc,
+    /// Detectable-CAS help cells.
+    Help,
+    /// Heap-length cells.
+    GlobalLen,
+    /// Global free-list heads of every stripe.
+    GlobalFree,
+    /// Thread registry claim cells.
+    Registry,
+    /// Liveness leases.
+    Leases,
+    /// Huge-heap reservations.
+    Reservations,
+    /// Anything else.
+    Other,
+}
+
+impl CasRegion {
+    /// Every region, in table order: `ALL[r as usize] == r`.
+    pub const ALL: [CasRegion; 8] = [
+        CasRegion::HwccDesc,
+        CasRegion::Help,
+        CasRegion::GlobalLen,
+        CasRegion::GlobalFree,
+        CasRegion::Registry,
+        CasRegion::Leases,
+        CasRegion::Reservations,
+        CasRegion::Other,
+    ];
+
+    /// The region's name in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            CasRegion::HwccDesc => "hwcc_desc",
+            CasRegion::Help => "help",
+            CasRegion::GlobalLen => "global_len",
+            CasRegion::GlobalFree => "global_free",
+            CasRegion::Registry => "registry",
+            CasRegion::Leases => "leases",
+            CasRegion::Reservations => "reservations",
+            CasRegion::Other => "other",
+        }
+    }
+}
+
 fn align_up(x: u64, align: u64) -> u64 {
     debug_assert!(align.is_power_of_two());
     (x + align - 1) & !(align - 1)
@@ -329,10 +406,16 @@ impl Layout {
         let hwcc_start = cursor;
         let small_global = region(16, CACHELINE, &mut cursor);
         let large_global = region(16, CACHELINE, &mut cursor);
-        let small_hwcc = region(config.small_max_slabs as u64 * 8, CACHELINE, &mut cursor);
-        let large_hwcc = region(config.large_max_slabs as u64 * 8, CACHELINE, &mut cursor);
+        // Coherent-CAS targets that different hosts hit concurrently get
+        // distinct lines: the per-slab descriptors are strided (see
+        // `HeapLayout::hwcc_desc_at`) and each help cell is line-sized.
+        // Registry and leases stay dense: they are swept as one span and
+        // not CASed per op.
+        let desc_lines = |slabs: u32| slabs.div_ceil(8) as u64 * CACHELINE;
+        let small_hwcc = region(desc_lines(config.small_max_slabs), CACHELINE, &mut cursor);
+        let large_hwcc = region(desc_lines(config.large_max_slabs), CACHELINE, &mut cursor);
         let reservations = region(config.huge_regions as u64 * 8, CACHELINE, &mut cursor);
-        let help = region(threads * 8, CACHELINE, &mut cursor);
+        let help = region(threads * CACHELINE, CACHELINE, &mut cursor);
         let registry = region(threads * 8, CACHELINE, &mut cursor);
         let leases = region(threads * 8, CACHELINE, &mut cursor);
         let hwcc = Region {
@@ -479,7 +562,7 @@ impl Layout {
     #[inline]
     pub fn help_at(&self, slot: u32) -> u64 {
         debug_assert!(slot < self.max_threads);
-        self.help.start + slot as u64 * 8
+        self.help.start + slot as u64 * CACHELINE
     }
 
     /// Offset of thread `slot`'s registry claim cell.
@@ -545,8 +628,35 @@ impl Layout {
             || self.huge.data.contains(offset)
     }
 
+    /// The structure holding CAS target `offset`.
+    pub fn cas_region(&self, offset: u64) -> CasRegion {
+        let heaps = [&self.small, &self.large];
+        if heaps.iter().any(|h| h.hwcc_desc.contains(offset)) {
+            CasRegion::HwccDesc
+        } else if self.help.contains(offset) {
+            CasRegion::Help
+        } else if heaps.iter().any(|h| offset == h.global_len) {
+            CasRegion::GlobalLen
+        } else if heaps
+            .iter()
+            .any(|h| offset == h.global_free || h.stripe_heads.contains(offset))
+        {
+            CasRegion::GlobalFree
+        } else if self.registry.contains(offset) {
+            CasRegion::Registry
+        } else if self.leases.contains(offset) {
+            CasRegion::Leases
+        } else if self.huge.reservations.contains(offset) {
+            CasRegion::Reservations
+        } else {
+            CasRegion::Other
+        }
+    }
+
     /// Total HWcc bytes in use given current heap lengths — the §5.2.1
-    /// "HWcc memory" metric for cxlalloc.
+    /// "HWcc memory" metric for cxlalloc. Like [`HeapLayout::hwcc_bytes`]
+    /// it counts reserved words, not cachelines touched, and it leaves
+    /// out the per-thread regions (`help` is `threads × 64` B).
     pub fn hwcc_bytes_in_use(&self, small_len: u32, large_len: u32) -> u64 {
         self.small.hwcc_bytes(small_len) + self.large.hwcc_bytes(large_len)
             + self.huge.hwcc_bytes()
@@ -729,6 +839,98 @@ mod tests {
         assert_eq!(l.small.hwcc_bytes(10), 16 + 80);
         // Reservation array is the huge heap's constant HWcc cost.
         assert_eq!(l.huge.hwcc_bytes(), 32 * 8);
+    }
+
+    /// Layouts whose slab capacities are and are not multiples of 8.
+    fn layouts_with_odd_capacities() -> Vec<Layout> {
+        [(64, 8), (1, 1), (7, 9), (100, 13), (4097, 15)]
+            .into_iter()
+            .map(|(small, large)| {
+                Layout::compute(&PodConfig {
+                    small_max_slabs: small,
+                    large_max_slabs: large,
+                    ..PodConfig::small_for_tests()
+                })
+                .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hwcc_desc_at_is_a_bijection_onto_aligned_words() {
+        for l in layouts_with_odd_capacities() {
+            for heap in [&l.small, &l.large] {
+                assert!(heap.hwcc_desc.start >= l.hwcc.start && heap.hwcc_desc.end() <= l.hwcc.end());
+                assert_eq!(heap.hwcc_desc.start % CACHELINE, 0);
+                assert_eq!(
+                    heap.hwcc_desc.len,
+                    (heap.max_slabs as u64 * 8).div_ceil(CACHELINE) * CACHELINE,
+                    "8 B per slab, rounded up to one line"
+                );
+                let mut seen = std::collections::HashSet::new();
+                for slab in 0..heap.max_slabs {
+                    let off = heap.hwcc_desc_at(slab);
+                    assert_eq!(off % 8, 0, "slab {slab}");
+                    assert!(heap.hwcc_desc.contains(off), "slab {slab} at {off:#x}");
+                    assert!(seen.insert(off), "slab {slab} shares word {off:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn consecutive_slabs_sit_on_distinct_lines() {
+        for l in layouts_with_odd_capacities() {
+            for heap in [&l.small, &l.large] {
+                let lines = (heap.hwcc_desc.len / CACHELINE) as u32;
+                for first in 0..heap.max_slabs.saturating_sub(lines) + 1 {
+                    let window = first..(first + lines).min(heap.max_slabs);
+                    let distinct: std::collections::HashSet<u64> =
+                        window.clone().map(|i| heap.hwcc_desc_at(i) / CACHELINE).collect();
+                    assert_eq!(distinct.len(), window.len(), "slabs {window:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn help_cells_sit_one_per_line() {
+        let l = layout();
+        assert_eq!(l.help.len, l.max_threads as u64 * CACHELINE);
+        let lines: std::collections::HashSet<u64> =
+            (0..l.max_threads).map(|slot| l.help_at(slot) / CACHELINE).collect();
+        assert_eq!(lines.len(), l.max_threads as usize);
+        for slot in 0..l.max_threads {
+            assert_eq!(l.help_at(slot) % CACHELINE, 0);
+            assert!(l.help.contains(l.help_at(slot)));
+        }
+    }
+
+    #[test]
+    fn cas_regions_name_every_cas_target() {
+        let l = Layout::compute(&PodConfig {
+            global_stripes: 4,
+            ..PodConfig::small_for_tests()
+        })
+        .unwrap();
+        let last = l.max_threads - 1;
+        for (offset, region) in [
+            (l.small.hwcc_desc_at(0), CasRegion::HwccDesc),
+            (l.large.hwcc_desc_at(l.large.max_slabs - 1), CasRegion::HwccDesc),
+            (l.help_at(last), CasRegion::Help),
+            (l.large.global_len, CasRegion::GlobalLen),
+            (l.small.global_free_at(0), CasRegion::GlobalFree),
+            (l.large.global_free_at(3), CasRegion::GlobalFree),
+            (l.registry_at(last), CasRegion::Registry),
+            (l.lease_at(0), CasRegion::Leases),
+            (l.huge.reservation_at(0), CasRegion::Reservations),
+            (l.fallback_lock, CasRegion::Other),
+        ] {
+            assert_eq!(l.cas_region(offset), region, "offset {offset:#x}");
+        }
+        for (i, region) in CasRegion::ALL.into_iter().enumerate() {
+            assert_eq!(region as usize, i, "{} out of table order", region.name());
+        }
     }
 
     #[test]

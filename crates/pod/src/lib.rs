@@ -76,7 +76,7 @@ pub use config::{
 };
 pub use error::{Fault, PodError};
 pub use fabric::FabricConfig;
-pub use layout::{HeapLayout, HugeLayout, Layout, Region, HUGE_DESC_SIZE};
+pub use layout::{CasRegion, HeapLayout, HugeLayout, Layout, Region, HUGE_DESC_SIZE};
 pub use mem::{HwccMode, PodMemory, RawMemory, SimMemory};
 pub use nmp::{BreakerConfig, DeviceMode};
 pub use process::{FaultHandler, MapSet, Process, ProcessId};

@@ -1067,6 +1067,32 @@ mod tests {
     }
 
     #[test]
+    fn neighbouring_slab_counters_have_independent_line_clocks() {
+        let layout = Layout::compute(&PodConfig::small_for_tests()).unwrap();
+        let segment = Arc::new(Segment::zeroed(layout.total_len).unwrap());
+        let model = LatencyModel {
+            jitter_pct: 0,
+            ..LatencyModel::paper_calibrated()
+        };
+        let transfer = model.line_transfer_ns;
+        let uncontended = transfer + model.cas_base_ns;
+        let mem = SimMemory::new(segment, layout, HwccMode::Limited, 8, model);
+        let heap = &mem.layout().small;
+        // Core 0 keeps slab 4's line busy far into the future.
+        for _ in 0..16 {
+            let _ = mem.cas_u64(CoreId(0), heap.hwcc_desc_at(4), 0, 0);
+        }
+        // Core 1's CAS on slab 5 does not queue behind it...
+        mem.cas_u64(CoreId(1), heap.hwcc_desc_at(5), 0, 1).unwrap();
+        assert_eq!(mem.virtual_ns(CoreId(1)), uncontended);
+        // ...while a CAS on slab 4 itself waits for core 0's last line
+        // transfer to finish, then takes its own.
+        mem.cas_u64(CoreId(2), heap.hwcc_desc_at(4), 0, 1).unwrap();
+        let line_free = mem.virtual_ns(CoreId(0)) - (uncontended - transfer);
+        assert_eq!(mem.virtual_ns(CoreId(2)), line_free + uncontended);
+    }
+
+    #[test]
     fn none_mode_routes_cas_through_nmp() {
         let mem = sim(HwccMode::None);
         let off = mem.layout().small.global_len;

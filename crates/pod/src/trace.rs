@@ -60,6 +60,7 @@
 //! ```
 
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
 /// Typed event classes. The discriminant is the on-wire id (byte 0 of
@@ -309,6 +310,8 @@ struct CoreRing {
     last_stamp: u64,
     /// `(count, total_ns)` per `[phase][kind]`; phases grow on demand.
     attribution: Vec<[(u64, u64); KIND_COUNT]>,
+    /// `(count, total_ns)` of `cas`-category events per target offset.
+    cas: BTreeMap<u64, (u64, u64)>,
 }
 
 impl CoreRing {
@@ -321,20 +324,29 @@ impl CoreRing {
             fingerprint: FNV_OFFSET,
             last_stamp: 0,
             attribution: Vec::new(),
+            cas: BTreeMap::new(),
         }
     }
 
-    fn push(&mut self, capacity: usize, words: [u64; 3], phase: u8, kind: u8, cost: u64) {
+    fn push(&mut self, capacity: usize, event: Event, cost: u64) {
+        let words = event.pack();
+        let phase = event.phase as usize;
         self.emitted += 1;
         for w in words {
             self.fingerprint = fnv_mix(self.fingerprint, w);
         }
-        while self.attribution.len() <= phase as usize {
+        while self.attribution.len() <= phase {
             self.attribution.push([(0, 0); KIND_COUNT]);
         }
-        let cell = &mut self.attribution[phase as usize][kind as usize];
+        let cell = &mut self.attribution[phase][event.kind as usize];
         cell.0 += 1;
         cell.1 += cost;
+        // Every `cas`-category event carries its target offset as `arg`.
+        if event.kind.category() == "cas" {
+            let target = self.cas.entry(event.arg).or_default();
+            target.0 += 1;
+            target.1 += cost;
+        }
         if self.events.len() < capacity {
             self.events.push(words);
         } else {
@@ -468,7 +480,7 @@ impl Tracer {
         };
         let mut r = ring.lock();
         r.last_stamp = stamp_ns;
-        r.push(self.capacity, event.pack(), phase, kind as u8, cost_ns);
+        r.push(self.capacity, event, cost_ns);
     }
 
     /// Records a zero-cost structural event stamped at the core's most
@@ -492,7 +504,7 @@ impl Tracer {
             arg,
             stamp_ns: r.last_stamp,
         };
-        r.push(self.capacity, event.pack(), phase, kind as u8, 0);
+        r.push(self.capacity, event, 0);
     }
 
     /// FNV-1a fingerprint over the *entire* emitted stream (overflow-
@@ -547,6 +559,41 @@ impl Tracer {
         }
         attribution::Attribution::fold(names, rows)
     }
+
+    /// The `cas`-category events folded per target offset, merged over
+    /// cores and phases, in offset order. Like [`Self::attribution`] it
+    /// covers every emitted event, so the entries sum exactly to the
+    /// `cas` rows of all phases.
+    pub fn cas_targets(&self) -> Vec<CasTarget> {
+        let mut merged: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        for ring in &self.rings {
+            for (&offset, &(count, total)) in &ring.lock().cas {
+                let cell = merged.entry(offset).or_default();
+                cell.0 += count;
+                cell.1 += total;
+            }
+        }
+        merged
+            .into_iter()
+            .map(|(offset, (count, total_ns))| CasTarget {
+                offset,
+                count,
+                total_ns,
+            })
+            .collect()
+    }
+}
+
+/// The `cas`-category events that targeted one offset (see
+/// [`Tracer::cas_targets`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CasTarget {
+    /// Segment offset of the CAS target word.
+    pub offset: u64,
+    /// `cas`-category events on it.
+    pub count: u64,
+    /// Simulated nanoseconds charged to them.
+    pub total_ns: u64,
 }
 
 /// A decoded snapshot of the tracer's retained state.
@@ -876,6 +923,36 @@ mod tests {
         let by_kind = attr.by_kind();
         assert_eq!(by_kind[0], (TraceKind::LoadFill, 3, 1000));
         assert!(attr.render().contains("load_fill"));
+    }
+
+    #[test]
+    fn cas_targets_fold_per_offset() {
+        let t = Tracer::with_capacity(2, 1);
+        t.arm();
+        let warm = t.phase_id("warmup");
+        t.emit(0, TraceKind::CasAttempt, 0x40, 390, 390);
+        t.emit(1, TraceKind::CasAttempt, 0x40, 550, 550);
+        t.emit(1, TraceKind::CasRetry, 0x40, 0, 550);
+        t.emit(0, TraceKind::LoadFill, 0x40, 357, 747);
+        t.set_phase(0, warm);
+        t.emit(0, TraceKind::CasFallback, 0x80, 300, 1047);
+        let targets = t.cas_targets();
+        assert_eq!(targets.len(), 2, "ring overflow must not drop targets");
+        assert_eq!(
+            (targets[0].offset, targets[0].count, targets[0].total_ns),
+            (0x40, 3, 940)
+        );
+        assert_eq!((targets[1].offset, targets[1].count), (0x80, 1), "phases merge");
+        let cas_ns: u64 = t
+            .attribution()
+            .by_kind()
+            .into_iter()
+            .filter(|(kind, _, _)| kind.category() == "cas")
+            .map(|(_, _, ns)| ns)
+            .sum();
+        assert_eq!(targets.iter().map(|c| c.total_ns).sum::<u64>(), cas_ns);
+        t.reset();
+        assert!(t.cas_targets().is_empty());
     }
 
     #[test]
